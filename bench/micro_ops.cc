@@ -19,7 +19,6 @@
 #include "src/ps/checkpoint_store.h"
 #include "src/ps/model.h"
 #include "src/rpc/messages.h"
-#include "src/rpc/serializer.h"
 
 namespace proteus {
 namespace {
@@ -71,112 +70,71 @@ void BM_BackupSync(benchmark::State& state) {
 BENCHMARK(BM_BackupSync);
 
 // --- The PS hot path end to end: apply a clock's worth of updates and
-// serialize the resulting push traffic. Legacy = per-row ApplyDelta +
-// per-row UpdateParamMsg frames (one allocation per row). Sharded =
-// batched ApplyUpdates + one coalesced delta batch per shard (single
-// allocation each). Arg(0) is ModelOptions::shards; the shards=1 run of
-// BM_ApplySerializeSharded measures batching alone, shards=4 adds lock
-// striping and coalesced framing — the tentpole's >= 2x claim.
+// serialize the resulting push traffic as per-row UpdateParamMsg frames
+// (one allocation per row), the way the runtime accounts it.
 constexpr int kHotRows = 4096;
 constexpr int kHotCols = 64;
 
-ModelStore MakeHotStore(int shards) {
-  ModelOptions options;
-  options.shards = shards;
-  return ModelStore({{0, 10000, kHotCols, 0.0F, 0.1F}}, 32, 7, options);
+ModelStore MakeHotStore() {
+  return ModelStore({{0, 10000, kHotCols, 0.0F, 0.1F}}, 32, 7);
 }
 
-void BM_ApplySerializeLegacy(benchmark::State& state) {
-  ModelStore store = MakeHotStore(1);
-  const std::vector<float> delta(kHotCols, 0.5F);
-  for (auto _ : state) {
-    std::uint64_t bytes = 0;
-    for (std::int64_t r = 0; r < kHotRows; ++r) {
-      store.ApplyDelta(0, r, delta);
-      UpdateParamMsg msg;
-      msg.table = 0;
-      msg.row = r;
-      msg.delta = delta;
-      bytes += EncodeMessage(msg).size();
-    }
-    benchmark::DoNotOptimize(bytes);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kHotRows);
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * kHotRows * kHotCols * 4);
-}
-BENCHMARK(BM_ApplySerializeLegacy);
-
-void BM_ApplySerializeSharded(benchmark::State& state) {
-  const int shards = static_cast<int>(state.range(0));
-  ModelStore store = MakeHotStore(shards);
-  const std::vector<float> delta(kHotCols, 0.5F);
-  std::vector<RowDelta> batch;
-  std::vector<DeltaRow> wire;
-  batch.reserve(kHotRows);
-  wire.reserve(kHotRows);
-  for (std::int64_t r = 0; r < kHotRows; ++r) {
-    batch.push_back({0, r, std::span<const float>(delta)});
-    wire.push_back({MakeRowKey(0, r), std::span<const float>(delta)});
-  }
-  for (auto _ : state) {
-    store.ApplyUpdates(batch);
-    benchmark::DoNotOptimize(EncodeDeltaBatch(wire).size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kHotRows);
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * kHotRows * kHotCols * 4);
-}
-BENCHMARK(BM_ApplySerializeSharded)->Arg(1)->Arg(4)->Arg(8);
-
-// --- Durable checkpoint path (PR 6): serialize the model's shards,
-// push them through the two-phase CheckpointStore commit, and restore
-// them back. Bytes/sec is the headline; the store-write bench forces
-// full (non-incremental) epochs so it measures frame+CRC+manifest cost,
-// not the reuse fast path.
-
-void PopulateStore(ModelStore& store) {
-  const std::vector<float> delta(kHotCols, 0.5F);
-  std::vector<RowDelta> batch;
-  batch.reserve(kHotRows);
-  for (std::int64_t r = 0; r < kHotRows; ++r) {
-    batch.push_back({0, r, std::span<const float>(delta)});
-  }
-  store.ApplyUpdates(batch);
-}
-
-std::uint64_t CheckpointBytes(const ModelStore& store) {
+// One clock's worth of per-row apply + encode; returns the wire bytes.
+std::uint64_t ApplyAndSerialize(ModelStore& store, const std::vector<float>& delta) {
   std::uint64_t bytes = 0;
-  for (int s = 0; s < store.shards(); ++s) {
-    bytes += store.SerializeShardCheckpoint(s).size();
+  for (std::int64_t r = 0; r < kHotRows; ++r) {
+    store.ApplyDelta(0, r, delta);
+    UpdateParamMsg msg;
+    msg.table = 0;
+    msg.row = r;
+    msg.delta = delta;
+    bytes += EncodeMessage(msg).size();
   }
   return bytes;
 }
 
-void BM_CheckpointSerializeShards(benchmark::State& state) {
-  ModelStore store = MakeHotStore(static_cast<int>(state.range(0)));
+void BM_ApplySerialize(benchmark::State& state) {
+  ModelStore store = MakeHotStore();
+  const std::vector<float> delta(kHotCols, 0.5F);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ApplyAndSerialize(store, delta));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kHotRows);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * kHotRows * kHotCols * 4);
+}
+BENCHMARK(BM_ApplySerialize);
+
+// --- Durable checkpoint path: serialize the model, push it
+// through the two-phase CheckpointStore commit, and restore it back.
+// Bytes/sec is the headline; the store-write bench forces full
+// (non-incremental) epochs so it measures frame+CRC+manifest cost, not
+// the reuse fast path.
+
+void PopulateStore(ModelStore& store) {
+  const std::vector<float> delta(kHotCols, 0.5F);
+  for (std::int64_t r = 0; r < kHotRows; ++r) {
+    store.ApplyDelta(0, r, delta);
+  }
+}
+
+void BM_CheckpointSerialize(benchmark::State& state) {
+  ModelStore store = MakeHotStore();
   PopulateStore(store);
   std::uint64_t bytes = 0;
   for (auto _ : state) {
-    bytes = 0;
-    for (int s = 0; s < store.shards(); ++s) {
-      bytes += store.SerializeShardCheckpoint(s).size();
-    }
+    bytes = store.SerializeCheckpoint().size();
     benchmark::DoNotOptimize(bytes);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes));
 }
-BENCHMARK(BM_CheckpointSerializeShards)->Arg(1)->Arg(8);
+BENCHMARK(BM_CheckpointSerialize);
 
 void BM_CheckpointStoreWrite(benchmark::State& state) {
-  ModelStore store = MakeHotStore(static_cast<int>(state.range(0)));
+  ModelStore store = MakeHotStore();
   PopulateStore(store);
-  std::vector<std::vector<std::uint8_t>> blobs;
-  std::uint64_t bytes = 0;
-  for (int s = 0; s < store.shards(); ++s) {
-    blobs.push_back(store.SerializeShardCheckpoint(s));
-    bytes += blobs.back().size();
-  }
-  const std::vector<std::uint64_t> force_full(blobs.size(), 0);
+  const std::vector<std::vector<std::uint8_t>> blobs = {store.SerializeCheckpoint()};
+  const std::vector<std::uint64_t> force_full = {0};
   MemDurableDevice device;
   CheckpointStore ck(&device);
   Clock clock = 0;
@@ -184,27 +142,25 @@ void BM_CheckpointStoreWrite(benchmark::State& state) {
     benchmark::DoNotOptimize(ck.WriteBlobs(blobs, force_full, ++clock).committed);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bytes));
+                          static_cast<std::int64_t>(blobs[0].size()));
 }
-BENCHMARK(BM_CheckpointStoreWrite)->Arg(1)->Arg(8);
+BENCHMARK(BM_CheckpointStoreWrite);
 
 void BM_CheckpointRestore(benchmark::State& state) {
-  ModelStore store = MakeHotStore(static_cast<int>(state.range(0)));
+  ModelStore store = MakeHotStore();
   PopulateStore(store);
   MemDurableDevice device;
   CheckpointStore ck(&device);
   const CheckpointWriteResult written = ck.WriteCheckpoint(store, 1);
   for (auto _ : state) {
     const auto loaded = ck.ReadNewestValid();
-    for (int s = 0; s < store.shards(); ++s) {
-      store.RestoreShardCheckpoint(s, loaded->shard_blobs[static_cast<std::size_t>(s)]);
-    }
+    store.RestoreCheckpoint(loaded->Payload());
     benchmark::DoNotOptimize(loaded->bytes_read);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(written.bytes_written));
 }
-BENCHMARK(BM_CheckpointRestore)->Arg(1)->Arg(8);
+BENCHMARK(BM_CheckpointRestore);
 
 void BM_FabricRecordTransfer(benchmark::State& state) {
   Fabric fabric(1.25e8);
@@ -282,67 +238,31 @@ double SecondsPerIter(const std::function<void()>& body) {
 std::vector<bench::BenchJsonRow> RunJsonBenches() {
   std::vector<bench::BenchJsonRow> rows;
 
-  // Legacy vs sharded apply+serialize: the tentpole rows/s comparison.
+  // The runtime's per-row apply + push encode, in rows/s.
   {
-    ModelStore store = MakeHotStore(1);
+    ModelStore store = MakeHotStore();
     const std::vector<float> delta(kHotCols, 0.5F);
-    const double spi = SecondsPerIter([&] {
-      std::uint64_t bytes = 0;
-      for (std::int64_t r = 0; r < kHotRows; ++r) {
-        store.ApplyDelta(0, r, delta);
-        UpdateParamMsg msg;
-        msg.table = 0;
-        msg.row = r;
-        msg.delta = delta;
-        bytes += EncodeMessage(msg).size();
-      }
-      benchmark::DoNotOptimize(bytes);
-    });
-    rows.push_back({"apply_serialize_legacy", "rows_per_sec", kHotRows / spi, "rows/s"});
-  }
-  {
-    ModelStore store = MakeHotStore(8);
-    const std::vector<float> delta(kHotCols, 0.5F);
-    std::vector<RowDelta> batch;
-    std::vector<DeltaRow> wire;
-    batch.reserve(kHotRows);
-    wire.reserve(kHotRows);
-    for (std::int64_t r = 0; r < kHotRows; ++r) {
-      batch.push_back({0, r, std::span<const float>(delta)});
-      wire.push_back({MakeRowKey(0, r), std::span<const float>(delta)});
-    }
-    const double spi = SecondsPerIter([&] {
-      store.ApplyUpdates(batch);
-      benchmark::DoNotOptimize(EncodeDeltaBatch(wire).size());
-    });
-    rows.push_back({"apply_serialize_sharded8", "rows_per_sec", kHotRows / spi, "rows/s"});
+    const double spi =
+        SecondsPerIter([&] { benchmark::DoNotOptimize(ApplyAndSerialize(store, delta)); });
+    rows.push_back({"apply_serialize", "rows_per_sec", kHotRows / spi, "rows/s"});
   }
 
   // Durable checkpoint path: serialize, store-write (full epochs through
   // the 2-phase commit), restore.
   {
-    ModelStore store = MakeHotStore(8);
+    ModelStore store = MakeHotStore();
     PopulateStore(store);
-    const double bytes = static_cast<double>(CheckpointBytes(store));
-    const double spi = SecondsPerIter([&] {
-      std::uint64_t total = 0;
-      for (int s = 0; s < store.shards(); ++s) {
-        total += store.SerializeShardCheckpoint(s).size();
-      }
-      benchmark::DoNotOptimize(total);
-    });
+    const double bytes = static_cast<double>(store.SerializeCheckpoint().size());
+    const double spi =
+        SecondsPerIter([&] { benchmark::DoNotOptimize(store.SerializeCheckpoint().size()); });
     rows.push_back({"checkpoint_serialize", "mb_per_sec", bytes / spi / 1e6, "MB/s"});
   }
   {
-    ModelStore store = MakeHotStore(8);
+    ModelStore store = MakeHotStore();
     PopulateStore(store);
-    std::vector<std::vector<std::uint8_t>> blobs;
-    double bytes = 0;
-    for (int s = 0; s < store.shards(); ++s) {
-      blobs.push_back(store.SerializeShardCheckpoint(s));
-      bytes += static_cast<double>(blobs.back().size());
-    }
-    const std::vector<std::uint64_t> force_full(blobs.size(), 0);
+    const std::vector<std::vector<std::uint8_t>> blobs = {store.SerializeCheckpoint()};
+    const double bytes = static_cast<double>(blobs[0].size());
+    const std::vector<std::uint64_t> force_full = {0};
     MemDurableDevice device;
     CheckpointStore ck(&device);
     Clock clock = 0;
@@ -352,7 +272,7 @@ std::vector<bench::BenchJsonRow> RunJsonBenches() {
     rows.push_back({"checkpoint_store_write", "mb_per_sec", bytes / spi / 1e6, "MB/s"});
   }
   {
-    ModelStore store = MakeHotStore(8);
+    ModelStore store = MakeHotStore();
     PopulateStore(store);
     MemDurableDevice device;
     CheckpointStore ck(&device);
@@ -360,9 +280,7 @@ std::vector<bench::BenchJsonRow> RunJsonBenches() {
     const double bytes = static_cast<double>(written.bytes_written);
     const double spi = SecondsPerIter([&] {
       const auto loaded = ck.ReadNewestValid();
-      for (int s = 0; s < store.shards(); ++s) {
-        store.RestoreShardCheckpoint(s, loaded->shard_blobs[static_cast<std::size_t>(s)]);
-      }
+      store.RestoreCheckpoint(loaded->Payload());
       benchmark::DoNotOptimize(loaded->bytes_read);
     });
     rows.push_back({"checkpoint_restore", "mb_per_sec", bytes / spi / 1e6, "MB/s"});

@@ -114,7 +114,7 @@ int main() {
                 static_cast<long long>(loaded->clock), loaded->corrupt_epochs_skipped);
 
     AgileMLRuntime runtime(&app, MakeConfig(), MakeNodes());
-    runtime.InstallCheckpoint(loaded->shard_blobs, loaded->clock);
+    runtime.InstallCheckpoint(loaded->Payload(), loaded->clock);
     runtime.RestoreFromCheckpoint();
     RecoveryManager recovery(&runtime, &store, RecoveryManagerConfig{4, 0});
     recovery.ForceCheckpoint();  // Re-arm before training resumes.

@@ -161,7 +161,7 @@ RecoveryOutcome RecoveryManager::Recover(const std::vector<NodeId>& failed) {
         outcome.durable_epoch = loaded->epoch;
         outcome.corrupt_epochs_skipped = loaded->corrupt_epochs_skipped;
         outcome.torn_epochs_skipped = loaded->torn_epochs_skipped;
-        runtime_->InstallCheckpoint(std::move(loaded->shard_blobs), loaded->clock);
+        runtime_->InstallCheckpoint(loaded->Payload(), loaded->clock);
       }
     }
     // If no durable epoch validates, fall back to the in-memory

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "src/common/logging.h"
-#include "src/rpc/serializer.h"
 
 namespace proteus {
 
@@ -19,7 +18,7 @@ AgileMLRuntime::AgileMLRuntime(MLApp* app, AgileMLConfig config,
                                const std::vector<NodeInfo>& initial_nodes)
     : app_(app),
       config_(config),
-      model_(app->DefineModel().tables, config.num_partitions, config.seed, config.model),
+      model_(app->DefineModel().tables, config.num_partitions, config.seed),
       fabric_(config.nic_bandwidth),
       data_(app->NumItems(), config.data_blocks),
       planner_(config.planner),
@@ -58,11 +57,9 @@ AgileMLRuntime::~AgileMLRuntime() = default;
 void AgileMLRuntime::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
   tracer_ = tracer;
   metrics_ = metrics;
-  model_.SetObservability(metrics);
   if (metrics_ == nullptr) {
     pull_bytes_counter_ = push_bytes_counter_ = backup_sync_bytes_counter_ = nullptr;
     stage_transition_counter_ = rollback_clocks_counter_ = stall_seconds_counter_ = nullptr;
-    push_coalesced_saved_counter_ = nullptr;
     checkpoint_bytes_written_counter_ = checkpoint_bytes_restored_counter_ = nullptr;
     restore_clocks_lost_counter_ = nullptr;
     backup_lag_gauge_ = worker_nodes_gauge_ = nullptr;
@@ -74,7 +71,6 @@ void AgileMLRuntime::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry*
   }
   pull_bytes_counter_ = metrics_->GetCounter("agileml.pull.bytes");
   push_bytes_counter_ = metrics_->GetCounter("agileml.push.bytes");
-  push_coalesced_saved_counter_ = metrics_->GetCounter("agileml.push.coalesced_saved_bytes");
   backup_sync_bytes_counter_ = metrics_->GetCounter("agileml.backup_sync.bytes");
   stage_transition_counter_ = metrics_->GetCounter("agileml.stage.transitions");
   rollback_clocks_counter_ = metrics_->GetCounter("agileml.rollback.lost_clocks");
@@ -178,7 +174,7 @@ void AgileMLRuntime::TransitionRoles(const std::set<NodeId>& leaving, bool force
     for (PartitionId p = 0; p < config_.num_partitions; ++p) {
       // Flush both the unsynced dirty rows and the in-flight tail of the
       // asynchronous background stream.
-      const std::uint64_t bytes = model_.SyncPartitionToBackup(p, clock_) + last_sync_bytes_[p];
+      const std::uint64_t bytes = model_.SyncPartitionToBackup(p) + last_sync_bytes_[p];
       const NodeId src = roles_.server.at(p);
       const NodeId dst = roles_.backup.at(p);
       queued_.push_back({leaving.count(src) > 0 ? kInvalidNode : src, dst, bytes, cls, forced});
@@ -582,22 +578,13 @@ TierGuardReport AgileMLRuntime::AuditTierGuard() const {
 }
 
 void AgileMLRuntime::CheckpointReliable() {
-  // Shard-granular snapshot: each stripe serializes independently, so a
-  // future partial restore touches only the stripes it needs.
-  std::vector<std::vector<std::uint8_t>> blobs;
-  blobs.reserve(static_cast<std::size_t>(model_.shards()));
-  for (int s = 0; s < model_.shards(); ++s) {
-    blobs.push_back(model_.SerializeShardCheckpoint(s));
-  }
-  std::uint64_t checkpoint_bytes = 0;
-  for (const auto& blob : blobs) {
-    checkpoint_bytes += blob.size();
-  }
+  std::vector<std::uint8_t> blob = model_.SerializeCheckpoint();
+  const std::uint64_t checkpoint_bytes = blob.size();
   checkpoint_bytes_written_total_ += checkpoint_bytes;
   if (checkpoint_bytes_written_counter_ != nullptr) {
     checkpoint_bytes_written_counter_->Add(checkpoint_bytes);
   }
-  checkpoint_ = Checkpoint{std::move(blobs), clock_};
+  checkpoint_ = Checkpoint{std::move(blob), clock_};
   if (ledger_ != nullptr) {
     ledger_->Record("checkpoint", "agileml", total_time_,
                     {{"clock", static_cast<std::int64_t>(clock_)},
@@ -619,12 +606,8 @@ void AgileMLRuntime::CheckpointReliable() {
 
 int AgileMLRuntime::RestoreFromCheckpoint() {
   PROTEUS_CHECK(checkpoint_.has_value());
-  PROTEUS_CHECK_EQ(static_cast<int>(checkpoint_->shard_blobs.size()), model_.shards());
-  std::uint64_t restored_bytes = 0;
-  for (int s = 0; s < model_.shards(); ++s) {
-    restored_bytes += checkpoint_->shard_blobs[static_cast<std::size_t>(s)].size();
-    model_.RestoreShardCheckpoint(s, checkpoint_->shard_blobs[static_cast<std::size_t>(s)]);
-  }
+  const std::uint64_t restored_bytes = checkpoint_->blob.size();
+  model_.RestoreCheckpoint(checkpoint_->blob);
   // delta > 0 is an ordinary rollback. delta < 0 is a *forward* restore:
   // the snapshot holds clocks a prior rollback declared lost (e.g. a
   // durable epoch newer than the last backup sync), so the jump credits
@@ -684,11 +667,8 @@ int AgileMLRuntime::RestoreFromCheckpoint() {
   return lost;
 }
 
-void AgileMLRuntime::InstallCheckpoint(std::vector<std::vector<std::uint8_t>> shard_blobs,
-                                       Clock clock) {
-  PROTEUS_CHECK_EQ(static_cast<int>(shard_blobs.size()), model_.shards())
-      << "installed checkpoint shard count does not match the model";
-  checkpoint_ = Checkpoint{std::move(shard_blobs), clock};
+void AgileMLRuntime::InstallCheckpoint(std::vector<std::uint8_t> blob, Clock clock) {
+  checkpoint_ = Checkpoint{std::move(blob), clock};
 }
 
 void AgileMLRuntime::DropCheckpoint() { checkpoint_.reset(); }
@@ -730,9 +710,7 @@ SimDuration AgileMLRuntime::ChargeQueuedTransfers() {
 void AgileMLRuntime::SyncAllToBackups(TrafficClass cls) {
   std::uint64_t total_bytes = 0;
   for (PartitionId p = 0; p < config_.num_partitions; ++p) {
-    // The stream captures state as of the clock that just finished
-    // (clock_ + 1 when called from RunClock's end-of-clock hook).
-    const std::uint64_t bytes = model_.SyncPartitionToBackup(p, clock_ + 1);
+    const std::uint64_t bytes = model_.SyncPartitionToBackup(p);
     last_sync_bytes_[p] = bytes;
     if (bytes == 0) {
       continue;
@@ -818,7 +796,6 @@ IterationReport AgileMLRuntime::RunClock() {
   // cache (write-back coalescing).
   std::uint64_t pull_bytes = 0;  // Server -> worker (parameter reads).
   std::uint64_t push_bytes = 0;  // Worker -> server (update write-backs).
-  std::uint64_t push_saved_bytes = 0;  // Legacy framing minus coalesced.
   const std::vector<NodeId> server_of = roles_.ServerByPartition(config_.num_partitions);
   for (const NodeId w : workers) {
     const AccessTracker& tracker = trackers[w];
@@ -830,42 +807,13 @@ IterationReport AgileMLRuntime::RunClock() {
       fabric_.RecordTransfer(server_of[static_cast<std::size_t>(p)], w, bytes,
                              TrafficClass::kForeground);
     }
-    if (model_.shards() > 1) {
-      // Sharded fast path: the worker cache drains as one coalesced delta
-      // batch per destination server (varint row-ids, single frame)
-      // instead of per-row UpdateParamMsg framing.
-      std::map<NodeId, std::vector<RowKey>> batch_keys;
-      std::uint64_t legacy_bytes = 0;
-      for (const RowKey key : tracker.updates()) {
-        const int table = TableOfKey(key);
-        const PartitionId p = model_.PartitionOf(table, RowOfKey(key));
-        batch_keys[server_of[static_cast<std::size_t>(p)]].push_back(key);
-        legacy_bytes += model_.RowBytes(table);
-      }
-      std::vector<std::uint32_t> cols;
-      std::uint64_t coalesced_bytes = 0;
-      for (auto& [server, keys] : batch_keys) {
-        std::sort(keys.begin(), keys.end());
-        cols.clear();
-        cols.reserve(keys.size());
-        for (const RowKey key : keys) {
-          cols.push_back(static_cast<std::uint32_t>(model_.table(TableOfKey(key)).cols));
-        }
-        const std::uint64_t bytes = DeltaBatchEncodedBytes(keys, cols);
-        coalesced_bytes += bytes;
-        fabric_.RecordTransfer(w, server, bytes, TrafficClass::kForeground);
-      }
-      push_bytes += coalesced_bytes;
-      push_saved_bytes += legacy_bytes - std::min(legacy_bytes, coalesced_bytes);
-    } else {
-      for (const RowKey key : tracker.updates()) {
-        const int table = TableOfKey(key);
-        const PartitionId p = model_.PartitionOf(table, RowOfKey(key));
-        const std::uint64_t bytes = model_.RowBytes(table);
-        push_bytes += bytes;
-        fabric_.RecordTransfer(w, server_of[static_cast<std::size_t>(p)], bytes,
-                               TrafficClass::kForeground);
-      }
+    for (const RowKey key : tracker.updates()) {
+      const int table = TableOfKey(key);
+      const PartitionId p = model_.PartitionOf(table, RowOfKey(key));
+      const std::uint64_t bytes = model_.RowBytes(table);
+      push_bytes += bytes;
+      fabric_.RecordTransfer(w, server_of[static_cast<std::size_t>(p)], bytes,
+                             TrafficClass::kForeground);
     }
   }
   if (pull_bytes_counter_ != nullptr) {
@@ -874,15 +822,11 @@ IterationReport AgileMLRuntime::RunClock() {
   if (push_bytes_counter_ != nullptr) {
     push_bytes_counter_->Add(push_bytes);
   }
-  if (push_coalesced_saved_counter_ != nullptr) {
-    push_coalesced_saved_counter_->Add(push_saved_bytes);
-  }
   if (ledger_ != nullptr) {
     ledger_->Record("pull", "agileml", clock_start,
                     {{"bytes", static_cast<std::int64_t>(pull_bytes)}});
     ledger_->Record("push", "agileml", clock_start,
-                    {{"bytes", static_cast<std::int64_t>(push_bytes)},
-                     {"coalesced_saved", static_cast<std::int64_t>(push_saved_bytes)}});
+                    {{"bytes", static_cast<std::int64_t>(push_bytes)}});
   }
 
   // --- Active -> Backup streaming (stages 2/3) ---
@@ -995,7 +939,6 @@ IterationReport AgileMLRuntime::RunClock() {
     tracer_->CounterAt(total_time_, "worker_nodes", "agileml",
                        static_cast<double>(report.worker_nodes));
   }
-  model_.UpdateShardGauges();
   if (tracer_ != nullptr) {
     if (stall > 0.0) {
       // Forced (eviction/failure-handling) transfers serialized ahead of

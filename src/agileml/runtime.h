@@ -78,11 +78,6 @@ struct AgileMLConfig {
   int minibatches_per_pass = 1;
   // Wire size of one input item (for load-time modeling).
   double bytes_per_item = 64.0;
-  // Parameter-store engine selection (ModelOptions::shards picks the
-  // legacy per-partition path or the lock-striped arena fast path; the
-  // fast path also switches worker->server push and active->backup sync
-  // accounting to coalesced delta batches).
-  ModelOptions model;
   RolePlannerConfig planner;
   // Heartbeat/lease failure detection (off by default; when enabled,
   // every ready node renews its lease each clock and silently hung
@@ -217,11 +212,10 @@ class AgileMLRuntime {
   // Restores model state from the last checkpoint; returns lost clocks.
   int RestoreFromCheckpoint();
   // Replaces the held checkpoint with externally recovered state (e.g.
-  // shard payloads read back from a durable CheckpointStore). Blob
-  // count must match the model's shard count. A restart driver can
-  // install into a fresh runtime and RestoreFromCheckpoint() to resume
-  // a crashed run.
-  void InstallCheckpoint(std::vector<std::vector<std::uint8_t>> shard_blobs, Clock clock);
+  // a canonical model blob read back from a durable CheckpointStore).
+  // Installing into a fresh runtime and calling RestoreFromCheckpoint()
+  // resumes a crashed run.
+  void InstallCheckpoint(std::vector<std::uint8_t> blob, Clock clock);
   // Models losing the in-memory checkpoint with its reliable holders
   // (correlated wipeout): after this only a durable copy can help.
   void DropCheckpoint();
@@ -275,9 +269,7 @@ class AgileMLRuntime {
   };
 
   struct Checkpoint {
-    // One canonical blob per model shard, enabling shard-granular
-    // restore (and, in ProteusRuntime, shard-granular durable writes).
-    std::vector<std::vector<std::uint8_t>> shard_blobs;
+    std::vector<std::uint8_t> blob;  // ModelStore::SerializeCheckpoint().
     Clock clock = 0;
   };
 
@@ -357,9 +349,6 @@ class AgileMLRuntime {
   obs::EventId last_clock_event_ = obs::kNoEvent;
   obs::Counter* pull_bytes_counter_ = nullptr;
   obs::Counter* push_bytes_counter_ = nullptr;
-  // Bytes saved by coalescing pushes into delta batches (legacy per-row
-  // framing minus actual coalesced bytes; only advances when shards > 1).
-  obs::Counter* push_coalesced_saved_counter_ = nullptr;
   obs::Counter* backup_sync_bytes_counter_ = nullptr;
   obs::Counter* stage_transition_counter_ = nullptr;
   obs::Counter* rollback_clocks_counter_ = nullptr;

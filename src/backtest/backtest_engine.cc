@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "src/common/csv.h"
+#include "src/common/hash.h"
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
@@ -15,15 +16,6 @@ namespace proteus {
 namespace backtest {
 
 namespace {
-
-std::uint64_t Fnv1a(std::uint64_t h, const void* data, std::size_t len) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 std::uint64_t SplitMix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
@@ -42,7 +34,7 @@ std::string Fixed(double value, int precision) {
 
 std::uint64_t BacktestEngine::CellSeed(std::uint64_t base, const std::string& policy,
                                        const std::string& instance_type, int window) {
-  std::uint64_t h = 0xCBF29CE484222325ULL ^ base;
+  std::uint64_t h = kFnvOffsetBasis ^ base;
   h = Fnv1a(h, policy.data(), policy.size());
   h = Fnv1a(h, instance_type.data(), instance_type.size());
   const std::uint64_t w = static_cast<std::uint64_t>(window);

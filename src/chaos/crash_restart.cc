@@ -7,31 +7,12 @@
 #include <string>
 #include <utility>
 
+#include "src/chaos/state_digest.h"
 #include "src/common/logging.h"
 
 namespace proteus {
 
 namespace {
-
-std::uint64_t Fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xFF)) * 0x100000001B3ULL;
-  }
-  return h;
-}
-
-// Canonical solution-state fingerprint: every shard's checkpoint blob
-// plus the clock. Lost-clock accounting is deliberately excluded — it
-// legitimately differs across a crash while the model bytes must not.
-std::uint64_t StateDigest(const AgileMLRuntime& runtime) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (int s = 0; s < runtime.model().shards(); ++s) {
-    for (const std::uint8_t byte : runtime.model().SerializeShardCheckpoint(s)) {
-      h = (h ^ byte) * 0x100000001B3ULL;
-    }
-  }
-  return Fnv1a(h, static_cast<std::uint64_t>(runtime.clock()));
-}
 
 std::vector<NodeInfo> InitialNodes(const CrashRestartConfig& config) {
   std::vector<NodeInfo> nodes;
@@ -241,8 +222,7 @@ class CrashRestartDriver {
         runtime_.get(), store_.get(),
         RecoveryManagerConfig{config_.checkpoint_every, /*scrub_every=*/0});
     AttachObservability();
-    runtime_->InstallCheckpoint(
-        std::vector<std::vector<std::uint8_t>>(loaded->shard_blobs), loaded->clock);
+    runtime_->InstallCheckpoint(loaded->Payload(), loaded->clock);
     result_.lost_clocks = runtime_->RestoreFromCheckpoint();
     result_.restored_clock = runtime_->clock();
     result_.post_recovery_digest = StateDigest(*runtime_);

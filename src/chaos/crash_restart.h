@@ -25,7 +25,7 @@
 //                     must skip exactly those and never load a damaged
 //                     frame.
 //
-// Digests cover the canonical per-shard checkpoint serialization plus
+// Digests (StateDigest) cover the canonical checkpoint serialization plus
 // the clock (lost-clock accounting intentionally excluded: it differs
 // across the crash by design). Everything is deterministic in the seed.
 #ifndef SRC_CHAOS_CRASH_RESTART_H_

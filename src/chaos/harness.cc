@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "src/common/hash.h"
 #include "src/common/logging.h"
 
 namespace proteus {
@@ -14,14 +15,6 @@ std::uint64_t HashCombine(std::uint64_t a, std::uint64_t b) {
 }
 
 std::uint64_t HashDouble(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-std::uint64_t HashString(const std::string& s) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : s) {
-    h = (h ^ static_cast<std::uint8_t>(c)) * 0x100000001B3ULL;
-  }
-  return h;
-}
 
 // Initial membership: reliable nodes first, then transient nodes grouped
 // into allocations of `nodes_per_allocation`, all incorporated at
@@ -81,7 +74,8 @@ std::uint64_t ChaosRunResult::Digest() const {
   h = HashCombine(h, control_dropped);
   h = HashCombine(h, control_pending);
   h = HashCombine(h, control_duplicated);
-  h = HashCombine(h, HashString(control_log_summary));
+  h = HashCombine(h, Fnv1a(kFnvOffsetBasis, control_log_summary.data(),
+                           control_log_summary.size()));
   h = HashCombine(h, detector_suspicions);
   h = HashCombine(h, detector_confirmed_dead);
   h = HashCombine(h, detector_false_positives);

@@ -7,6 +7,8 @@
 #include <set>
 #include <variant>
 
+#include "src/chaos/state_digest.h"
+#include "src/common/hash.h"
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/rpc/channel.h"
@@ -21,23 +23,10 @@ namespace {
 // one initial_rto, so retransmissions fire within a boundary's pump.
 constexpr double kPumpDt = 0.01;
 
-std::uint64_t Fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xFF)) * 0x100000001B3ULL;
-  }
-  return h;
-}
-
+// StateDigest plus the lost-clock count: a lossy link must not cost
+// clocks either.
 std::uint64_t ModelDigest(const AgileMLRuntime& runtime) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (int s = 0; s < runtime.model().shards(); ++s) {
-    for (const std::uint8_t byte : runtime.model().SerializeShardCheckpoint(s)) {
-      h = (h ^ byte) * 0x100000001B3ULL;
-    }
-  }
-  h = Fnv1a(h, static_cast<std::uint64_t>(runtime.clock()));
-  h = Fnv1a(h, static_cast<std::uint64_t>(runtime.lost_clocks_total()));
-  return h;
+  return Fnv1aU64(StateDigest(runtime), static_cast<std::uint64_t>(runtime.lost_clocks_total()));
 }
 
 bool ProfileIsActive(const LinkFaultProfile& profile) {

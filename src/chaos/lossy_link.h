@@ -52,9 +52,9 @@ struct LossyLinkConfig {
 struct LossyLinkResult {
   Clock final_clock = 0;
   int lost_clocks_total = 0;
-  // FNV-1a over every model shard's canonical checkpoint blob, the
-  // final clock, and the lost-clock count. Equal digests mean equal
-  // training state.
+  // FNV-1a over the model's canonical checkpoint blob, the final
+  // clock, and the lost-clock count. Equal digests mean equal training
+  // state.
   std::uint64_t model_digest = 0;
   int commands_issued = 0;
   int commands_applied = 0;

@@ -6,32 +6,13 @@
 #include <set>
 #include <utility>
 
+#include "src/chaos/state_digest.h"
+#include "src/common/hash.h"
 #include "src/common/logging.h"
 
 namespace proteus {
 
 namespace {
-
-std::uint64_t Fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xFF)) * 0x100000001B3ULL;
-  }
-  return h;
-}
-
-// Canonical solution-state fingerprint: every shard's checkpoint blob
-// plus the clock (same definition as the crash/restart driver).
-// Lost-clock accounting is deliberately excluded — it legitimately
-// differs across a storm while the model bytes must not.
-std::uint64_t StateDigest(const AgileMLRuntime& runtime) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (int s = 0; s < runtime.model().shards(); ++s) {
-    for (const std::uint8_t byte : runtime.model().SerializeShardCheckpoint(s)) {
-      h = (h ^ byte) * 0x100000001B3ULL;
-    }
-  }
-  return Fnv1a(h, static_cast<std::uint64_t>(runtime.clock()));
-}
 
 std::vector<NodeInfo> InitialNodes(const TierStormConfig& config) {
   std::vector<NodeInfo> nodes;
@@ -357,19 +338,19 @@ const char* TierStormScenarioName(TierStormScenario scenario) {
 }
 
 std::uint64_t TierStormResult::Digest() const {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  h = Fnv1a(h, static_cast<std::uint64_t>(scenario));
-  h = Fnv1a(h, static_cast<std::uint64_t>(depth));
-  h = Fnv1a(h, expected_digest);
-  h = Fnv1a(h, post_recovery_digest);
-  h = Fnv1a(h, static_cast<std::uint64_t>(digest_match));
-  h = Fnv1a(h, static_cast<std::uint64_t>(storm_victims));
-  h = Fnv1a(h, static_cast<std::uint64_t>(confirmed_serverless));
-  h = Fnv1a(h, static_cast<std::uint64_t>(spot_victims));
-  h = Fnv1a(h, static_cast<std::uint64_t>(lost_clocks));
-  h = Fnv1a(h, durable_epoch);
-  h = Fnv1a(h, static_cast<std::uint64_t>(final_clock));
-  h = Fnv1a(h, static_cast<std::uint64_t>(violations.size()));
+  std::uint64_t h = kFnvOffsetBasis;
+  h = Fnv1aU64(h, static_cast<std::uint64_t>(scenario));
+  h = Fnv1aU64(h, static_cast<std::uint64_t>(depth));
+  h = Fnv1aU64(h, expected_digest);
+  h = Fnv1aU64(h, post_recovery_digest);
+  h = Fnv1aU64(h, static_cast<std::uint64_t>(digest_match));
+  h = Fnv1aU64(h, static_cast<std::uint64_t>(storm_victims));
+  h = Fnv1aU64(h, static_cast<std::uint64_t>(confirmed_serverless));
+  h = Fnv1aU64(h, static_cast<std::uint64_t>(spot_victims));
+  h = Fnv1aU64(h, static_cast<std::uint64_t>(lost_clocks));
+  h = Fnv1aU64(h, durable_epoch);
+  h = Fnv1aU64(h, static_cast<std::uint64_t>(final_clock));
+  h = Fnv1aU64(h, static_cast<std::uint64_t>(violations.size()));
   return h;
 }
 

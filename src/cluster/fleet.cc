@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "src/cluster/fairness.h"
+#include "src/common/hash.h"
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
@@ -125,12 +126,7 @@ std::string FleetResult::ToCsv() const {
 
 std::uint64_t FleetResult::Digest() const {
   const std::string csv = ToCsv();
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const unsigned char c : csv) {
-    h ^= c;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
+  return Fnv1a(kFnvOffsetBasis, csv.data(), csv.size());
 }
 
 ClusterScheduler::ClusterScheduler(const InstanceTypeCatalog* catalog, const TraceStore* traces,

@@ -3,20 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/common/hash.h"
 #include "src/common/logging.h"
 
 namespace proteus {
 namespace cluster {
 
 namespace {
-std::uint64_t Fnv1a(std::uint64_t h, const void* data, std::size_t len) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 std::uint64_t SplitMix(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
@@ -73,7 +66,7 @@ int TrueNeedSlots(const TenantSpec& spec, double remaining_slot_hours, SimDurati
 }
 
 std::uint64_t TenantStreamSeed(std::uint64_t fleet_seed, const TenantSpec& spec) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+  std::uint64_t h = kFnvOffsetBasis;
   h = Fnv1a(h, &fleet_seed, sizeof(fleet_seed));
   if (spec.demand_seed != 0) {
     h = Fnv1a(h, &spec.demand_seed, sizeof(spec.demand_seed));

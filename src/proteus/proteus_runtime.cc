@@ -567,8 +567,6 @@ ProteusRunSummary ProteusRuntime::Train(int target_clock) {
   summary.aborted_preloads = aborted_preloads_;
   summary.lost_clocks = agileml_->lost_clocks_total();
   summary.final_objective = agileml_->ComputeObjective();
-  summary.model_shards = agileml_->model().shards();
-  summary.shard_imbalance = agileml_->model().ShardImbalance();
   summary.checkpoint_bytes_written = agileml_->checkpoint_bytes_written_total();
   summary.checkpoint_bytes_restored = agileml_->checkpoint_bytes_restored_total();
   summary.restore_clocks_lost = agileml_->restore_clocks_lost_total();
@@ -599,8 +597,6 @@ ProteusStatus ProteusRuntime::Status() const {
   status.aborted_preloads = aborted_preloads_;
   status.lost_clocks = agileml_->lost_clocks_total();
   status.cost_so_far = ComputeTotalJobBill(market_, now_).cost;
-  status.model_shards = agileml_->model().shards();
-  status.shard_imbalance = agileml_->model().ShardImbalance();
   return status;
 }
 

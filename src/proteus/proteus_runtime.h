@@ -91,10 +91,6 @@ struct ProteusStatus {
   int aborted_preloads = 0;
   int lost_clocks = 0;
   Money cost_so_far = 0.0;
-  // Parameter-store shape: stripe count and max/mean live-row skew
-  // (1.0 = balanced; see ModelStore::ShardImbalance).
-  int model_shards = 1;
-  double shard_imbalance = 1.0;
 };
 
 // Per-tier damage/cost attribution for a run (ISSUE 10 satellite):
@@ -123,8 +119,6 @@ struct ProteusRunSummary {
   int lost_clocks = 0;
   double final_objective = 0.0;
   std::vector<double> objective_trace;  // When objective_every > 0.
-  int model_shards = 1;
-  double shard_imbalance = 1.0;  // At end of run.
   // Durability traffic (PR 6): checkpoint bytes serialized out of /
   // restored into the model over the run, and how many completed clocks
   // checkpoint restores rolled back (a subset of `lost_clocks`).

@@ -391,19 +391,11 @@ void CheckpointStore::SetObservability(obs::MetricsRegistry* metrics) {
 }
 
 CheckpointWriteResult CheckpointStore::WriteCheckpoint(const ModelStore& model, Clock clock) {
-  const int shards = model.shards();
-  std::vector<std::vector<std::uint8_t>> blobs;
-  std::vector<std::uint64_t> versions;
-  blobs.reserve(static_cast<std::size_t>(shards));
-  versions.reserve(static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    // Capture the version *before* serializing: if a concurrent mutation
-    // races the snapshot, the pessimistic order at worst rewrites an
-    // unchanged shard next epoch, never reuses a stale one.
-    versions.push_back(model.ShardVersion(s));
-    blobs.push_back(model.SerializeShardCheckpoint(s));
-  }
-  return WriteInternal(blobs, versions, clock);
+  // Capture the version *before* serializing: if a concurrent mutation
+  // races the snapshot, the pessimistic order at worst rewrites an
+  // unchanged model next epoch, never reuses a stale one.
+  const std::uint64_t version = model.Version();
+  return WriteInternal({model.SerializeCheckpoint()}, {version}, clock);
 }
 
 CheckpointWriteResult CheckpointStore::WriteBlobs(
@@ -495,6 +487,14 @@ CheckpointWriteResult CheckpointStore::WriteInternal(
     if (metrics_ != nullptr) commit_aborts_counter_->Increment();
   }
   return result;
+}
+
+std::vector<std::uint8_t> LoadedCheckpoint::Payload() const {
+  std::vector<std::uint8_t> payload;
+  for (const auto& blob : shard_blobs) {
+    payload.insert(payload.end(), blob.begin(), blob.end());
+  }
+  return payload;
 }
 
 std::optional<LoadedCheckpoint> CheckpointStore::ReadNewestValid() const {

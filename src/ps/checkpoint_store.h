@@ -4,7 +4,7 @@
 // those nodes; when a correlated spot-market crash takes every transient
 // node *and* the reliable tier, the only recovery source left is a
 // snapshot on durable storage. CheckpointStore is that layer: versioned
-// epochs of per-shard CRC32-framed chunks under an atomically-committed
+// epochs of CRC32-framed chunks under an atomically-committed
 // manifest, written to a pluggable DurableDevice that is allowed to be
 // hostile (torn writes, bit rot, truncation, lost commits).
 //
@@ -19,9 +19,9 @@
 //   u32   magic 'PCK1'
 //   u8    format version (1)
 //   var   shard index
-//   var   shard version (ModelStore::ShardVersion at serialize time)
+//   var   shard version (ModelStore::Version at serialize time)
 //   var   checkpoint clock
-//   blob  payload = ModelStore::SerializeShardCheckpoint(shard)
+//   blob  payload (WriteCheckpoint: ModelStore::SerializeCheckpoint)
 //   u32   CRC-32 of every preceding byte
 //
 // Manifest frame:
@@ -42,8 +42,9 @@
 // MANIFEST.tmp, then Rename() it to MANIFEST. The rename is the commit
 // point — a crash before it leaves a torn epoch that readers skip
 // because no committed manifest exists. Writes are incremental: a shard
-// whose ShardVersion is unchanged since the last committed epoch reuses
-// its chunk by name instead of rewriting the bytes.
+// whose version is unchanged since the last committed epoch reuses its
+// chunk by name instead of rewriting the bytes. WriteCheckpoint writes
+// the whole model as shard 0; WriteBlobs accepts any number of shards.
 //
 // Validation is paranoid by design: ReadNewestValid() walks epochs
 // newest-first and accepts the first one whose manifest parses, whose
@@ -63,6 +64,7 @@
 
 #include "src/common/types.h"
 #include "src/obs/metrics.h"
+#include "src/ps/clock_table.h"  // For the Clock alias.
 #include "src/ps/model.h"
 
 namespace proteus {
@@ -160,6 +162,10 @@ struct LoadedCheckpoint {
   Clock clock = 0;
   std::vector<std::vector<std::uint8_t>> shard_blobs;
   std::uint64_t bytes_read = 0;
+  // The shard payloads concatenated in shard order. Rows of canonical
+  // model blobs carry their keys, so ModelStore::RestoreCheckpoint of
+  // this restores a multi-shard epoch exactly.
+  std::vector<std::uint8_t> Payload() const;
   // Committed-looking epochs rejected before this one validated.
   int corrupt_epochs_skipped = 0;
   // Epochs with only a MANIFEST.tmp (crash before the commit point).
@@ -182,9 +188,9 @@ class CheckpointStore {
   // Registers checkpoint.* metrics; nullptr detaches.
   void SetObservability(obs::MetricsRegistry* metrics);
 
-  // Serializes changed shards, writes them + a manifest, commits via
-  // rename, then GCs epochs beyond the retention window. Unchanged
-  // shards (same ShardVersion as the last committed epoch) are
+  // Serializes the model as one shard, writes it + a manifest, commits
+  // via rename, then GCs epochs beyond the retention window. An
+  // unchanged model (same Version() as the last committed epoch) is
   // referenced by name without rewriting.
   CheckpointWriteResult WriteCheckpoint(const ModelStore& model, Clock clock);
 

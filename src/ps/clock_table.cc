@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/common/hash.h"
 #include "src/common/logging.h"
 
 namespace proteus {
@@ -56,17 +57,10 @@ bool ClockTable::CanAdvance(NodeId node) const {
 std::uint64_t ClockTable::Digest() const {
   // FNV-1a over the sorted (node, clock) stream; std::map iteration is
   // already sorted, so equal tables hash identically.
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001B3ULL;
-    }
-  };
-  mix(static_cast<std::uint64_t>(staleness_));
+  std::uint64_t h = Fnv1aU64(kFnvOffsetBasis, static_cast<std::uint64_t>(staleness_));
   for (const auto& [node, clock] : clocks_) {
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(node)));
-    mix(static_cast<std::uint64_t>(clock));
+    h = Fnv1aU64(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(node)));
+    h = Fnv1aU64(h, static_cast<std::uint64_t>(clock));
   }
   return h;
 }

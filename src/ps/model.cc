@@ -1,11 +1,9 @@
 #include "src/ps/model.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 
 #include "src/common/logging.h"
-#include "src/rpc/serializer.h"
 
 namespace proteus {
 
@@ -17,41 +15,20 @@ std::uint64_t Mix64(std::uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
 }
-
-std::uint64_t NowNanos() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 }  // namespace
 
-ModelStore::ModelStore(std::vector<TableSpec> tables, int num_partitions, std::uint64_t seed,
-                       ModelOptions options)
-    : tables_(std::move(tables)), num_partitions_(num_partitions), seed_(seed),
-      options_(options) {
+ModelStore::ModelStore(std::vector<TableSpec> tables, int num_partitions, std::uint64_t seed)
+    : tables_(std::move(tables)), num_partitions_(num_partitions), seed_(seed) {
   PROTEUS_CHECK_GT(num_partitions_, 0);
   PROTEUS_CHECK(!tables_.empty());
-  PROTEUS_CHECK_GT(options_.shards, 0);
-  options_.shards = std::min(options_.shards, num_partitions_);
   for (std::size_t i = 0; i < tables_.size(); ++i) {
     PROTEUS_CHECK_EQ(tables_[i].table_id, static_cast<int>(i)) << "table ids must be 0..n-1";
     PROTEUS_CHECK_GT(tables_[i].rows, 0);
     PROTEUS_CHECK_GT(tables_[i].cols, 0);
   }
-  if (fast()) {
-    const int locals = (num_partitions_ + options_.shards - 1) / options_.shards;
-    shards_.reserve(static_cast<std::size_t>(options_.shards));
-    for (int i = 0; i < options_.shards; ++i) {
-      auto shard = std::make_unique<Shard>();
-      shard->dirty.resize(static_cast<std::size_t>(locals));
-      shards_.push_back(std::move(shard));
-    }
-  } else {
-    partitions_.reserve(static_cast<std::size_t>(num_partitions_));
-    for (int i = 0; i < num_partitions_; ++i) {
-      partitions_.push_back(std::make_unique<Partition>());
-    }
+  partitions_.reserve(static_cast<std::size_t>(num_partitions_));
+  for (int i = 0; i < num_partitions_; ++i) {
+    partitions_.push_back(std::make_unique<Partition>());
   }
 }
 
@@ -115,38 +92,7 @@ std::vector<float>& ModelStore::RowLocked(Partition& p, int table, std::int64_t 
   return it->second;
 }
 
-std::uint32_t ModelStore::SlotLocked(Shard& s, RowKey key, int cols) const {
-  auto it = s.index.find(key);
-  if (it != s.index.end()) {
-    return it->second;
-  }
-  const std::uint32_t idx = static_cast<std::uint32_t>(s.slots.size());
-  Slot slot;
-  slot.key = key;
-  slot.offset = s.values.size();
-  slot.cols = static_cast<std::uint32_t>(cols);
-  s.slots.push_back(slot);
-  s.values.resize(s.values.size() + static_cast<std::size_t>(cols));
-  s.backup_values.resize(s.values.size());
-  float* v = s.values.data() + slot.offset;
-  for (int c = 0; c < cols; ++c) {
-    v[c] = InitValueFor(key, c);
-  }
-  s.index.emplace(key, idx);
-  ++s.live_rows;
-  return idx;
-}
-
 void ModelStore::ReadRow(int table, std::int64_t row, std::vector<float>& out) const {
-  if (fast()) {
-    const PartitionId part = PartitionOf(table, row);
-    auto& s = const_cast<Shard&>(*shards_[static_cast<std::size_t>(ShardOfPartition(part))]);
-    std::lock_guard<std::mutex> lock(s.mu);
-    const Slot& slot = s.slots[SlotLocked(s, MakeRowKey(table, row), this->table(table).cols)];
-    const float* v = s.values.data() + slot.offset;
-    out.assign(v, v + slot.cols);
-    return;
-  }
   auto& p = const_cast<Partition&>(PartitionFor(table, row));
   std::lock_guard<std::mutex> lock(p.mu);
   const std::vector<float>& value = RowLocked(p, table, row);
@@ -154,21 +100,6 @@ void ModelStore::ReadRow(int table, std::int64_t row, std::vector<float>& out) c
 }
 
 void ModelStore::ApplyDelta(int table, std::int64_t row, std::span<const float> delta) {
-  if (fast()) {
-    const PartitionId part = PartitionOf(table, row);
-    Shard& s = *shards_[static_cast<std::size_t>(ShardOfPartition(part))];
-    std::lock_guard<std::mutex> lock(s.mu);
-    const RowKey key = MakeRowKey(table, row);
-    const Slot& slot = s.slots[SlotLocked(s, key, this->table(table).cols)];
-    PROTEUS_CHECK_EQ(delta.size(), static_cast<std::size_t>(slot.cols));
-    float* v = s.values.data() + slot.offset;
-    for (std::uint32_t c = 0; c < slot.cols; ++c) {
-      v[c] += delta[c];
-    }
-    s.dirty[static_cast<std::size_t>(LocalPartition(part))].insert(key);
-    s.version.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
   Partition& p = PartitionFor(table, row);
   std::lock_guard<std::mutex> lock(p.mu);
   std::vector<float>& value = RowLocked(p, table, row);
@@ -177,127 +108,30 @@ void ModelStore::ApplyDelta(int table, std::int64_t row, std::span<const float> 
     value[i] += delta[i];
   }
   p.dirty.insert(MakeRowKey(table, row));
-  legacy_version_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ModelStore::ApplyUpdates(std::span<const RowDelta> deltas) {
-  if (!fast()) {
-    for (const RowDelta& d : deltas) {
-      ApplyDelta(d.table, d.row, d.values);
-    }
-    return;
-  }
-  // Bucket rows by owning shard so each shard lock is taken exactly once
-  // and rows land in input order within a shard.
-  std::vector<std::vector<std::uint32_t>> by_shard(
-      static_cast<std::size_t>(options_.shards));
-  std::vector<PartitionId> parts(deltas.size());
-  for (std::size_t i = 0; i < deltas.size(); ++i) {
-    parts[i] = PartitionOf(deltas[i].table, deltas[i].row);
-    by_shard[static_cast<std::size_t>(ShardOfPartition(parts[i]))].push_back(
-        static_cast<std::uint32_t>(i));
-  }
-  for (int sh = 0; sh < options_.shards; ++sh) {
-    const auto& idxs = by_shard[static_cast<std::size_t>(sh)];
-    if (idxs.empty()) {
-      continue;
-    }
-    const std::uint64_t t0 = metrics_ != nullptr ? NowNanos() : 0;
-    Shard& s = *shards_[static_cast<std::size_t>(sh)];
-    {
-      std::lock_guard<std::mutex> lock(s.mu);
-      for (const std::uint32_t i : idxs) {
-        const RowDelta& d = deltas[i];
-        const RowKey key = MakeRowKey(d.table, d.row);
-        const Slot& slot = s.slots[SlotLocked(s, key, this->table(d.table).cols)];
-        PROTEUS_CHECK_EQ(d.values.size(), static_cast<std::size_t>(slot.cols));
-        float* v = s.values.data() + slot.offset;
-        const float* dv = d.values.data();
-        for (std::uint32_t c = 0; c < slot.cols; ++c) {
-          v[c] += dv[c];
-        }
-        s.dirty[static_cast<std::size_t>(LocalPartition(parts[i]))].insert(key);
-      }
-      s.version.fetch_add(idxs.size(), std::memory_order_relaxed);
-    }
-    if (metrics_ != nullptr) {
-      apply_nanos_[static_cast<std::size_t>(sh)]->Add(NowNanos() - t0);
-      apply_rows_[static_cast<std::size_t>(sh)]->Add(idxs.size());
-    }
-  }
+  version_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ModelStore::SetRow(int table, std::int64_t row, std::span<const float> value) {
-  if (fast()) {
-    const PartitionId part = PartitionOf(table, row);
-    Shard& s = *shards_[static_cast<std::size_t>(ShardOfPartition(part))];
-    std::lock_guard<std::mutex> lock(s.mu);
-    const RowKey key = MakeRowKey(table, row);
-    const Slot& slot = s.slots[SlotLocked(s, key, this->table(table).cols)];
-    PROTEUS_CHECK_EQ(value.size(), static_cast<std::size_t>(slot.cols));
-    std::copy(value.begin(), value.end(), s.values.begin() + static_cast<std::ptrdiff_t>(slot.offset));
-    s.dirty[static_cast<std::size_t>(LocalPartition(part))].insert(key);
-    s.version.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
   Partition& p = PartitionFor(table, row);
   std::lock_guard<std::mutex> lock(p.mu);
   std::vector<float>& stored = RowLocked(p, table, row);
   PROTEUS_CHECK_EQ(value.size(), stored.size());
   std::copy(value.begin(), value.end(), stored.begin());
   p.dirty.insert(MakeRowKey(table, row));
-  legacy_version_.fetch_add(1, std::memory_order_relaxed);
+  version_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ModelStore::EnableBackups() {
-  if (fast()) {
-    for (auto& s : shards_) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      s->backup_values = s->values;
-      for (Slot& slot : s->slots) {
-        slot.in_backup = slot.live;
-      }
-      for (auto& d : s->dirty) {
-        d.clear();
-      }
-      s->version.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    for (auto& p : partitions_) {
-      std::lock_guard<std::mutex> lock(p->mu);
-      p->backup = p->state;
-      p->dirty.clear();
-    }
-    legacy_version_.fetch_add(1, std::memory_order_relaxed);
+  for (auto& p : partitions_) {
+    std::lock_guard<std::mutex> lock(p->mu);
+    p->backup = p->state;
+    p->dirty.clear();
   }
+  version_.fetch_add(1, std::memory_order_relaxed);
   backups_enabled_ = true;
 }
 
-std::vector<RowKey> ModelStore::SortedDirtyLocked(
-    const std::unordered_set<RowKey>& dirty) const {
-  std::vector<RowKey> keys(dirty.begin(), dirty.end());
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-std::uint64_t ModelStore::CoalescedBytes(const std::vector<RowKey>& sorted_keys) const {
-  if (sorted_keys.empty()) {
-    return 0;
-  }
-  std::vector<std::uint32_t> cols;
-  cols.reserve(sorted_keys.size());
-  for (const RowKey key : sorted_keys) {
-    cols.push_back(static_cast<std::uint32_t>(table(TableOfKey(key)).cols));
-  }
-  return DeltaBatchEncodedBytes(sorted_keys, cols);
-}
-
 std::uint64_t ModelStore::DirtyBytes(PartitionId part) const {
-  if (fast()) {
-    const Shard& s = *shards_[static_cast<std::size_t>(ShardOfPartition(part))];
-    std::lock_guard<std::mutex> lock(s.mu);
-    return CoalescedBytes(SortedDirtyLocked(s.dirty[static_cast<std::size_t>(LocalPartition(part))]));
-  }
   const Partition& p = *partitions_[static_cast<std::size_t>(part)];
   std::lock_guard<std::mutex> lock(p.mu);
   std::uint64_t bytes = 0;
@@ -307,26 +141,8 @@ std::uint64_t ModelStore::DirtyBytes(PartitionId part) const {
   return bytes;
 }
 
-std::uint64_t ModelStore::SyncPartitionToBackup(PartitionId part, Clock at_clock) {
+std::uint64_t ModelStore::SyncPartitionToBackup(PartitionId part) {
   PROTEUS_CHECK(backups_enabled_);
-  if (fast()) {
-    Shard& s = *shards_[static_cast<std::size_t>(ShardOfPartition(part))];
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto& dirty = s.dirty[static_cast<std::size_t>(LocalPartition(part))];
-    const std::vector<RowKey> keys = SortedDirtyLocked(dirty);
-    for (const RowKey key : keys) {
-      Slot& slot = s.slots[s.index.at(key)];
-      std::memcpy(s.backup_values.data() + slot.offset, s.values.data() + slot.offset,
-                  static_cast<std::size_t>(slot.cols) * sizeof(float));
-      slot.in_backup = true;
-    }
-    dirty.clear();
-    if (at_clock >= 0) {
-      s.last_sync_clock = at_clock;
-    }
-    s.version.fetch_add(1, std::memory_order_relaxed);
-    return CoalescedBytes(keys);
-  }
   Partition& p = *partitions_[static_cast<std::size_t>(part)];
   std::lock_guard<std::mutex> lock(p.mu);
   std::uint64_t bytes = 0;
@@ -335,63 +151,12 @@ std::uint64_t ModelStore::SyncPartitionToBackup(PartitionId part, Clock at_clock
     bytes += RowBytes(TableOfKey(key));
   }
   p.dirty.clear();
-  if (at_clock >= 0) {
-    legacy_sync_clock_ = at_clock;
-  }
-  legacy_version_.fetch_add(1, std::memory_order_relaxed);
+  version_.fetch_add(1, std::memory_order_relaxed);
   return bytes;
-}
-
-std::vector<std::uint8_t> ModelStore::EncodeDirtyRows(PartitionId part) const {
-  std::vector<DeltaRow> rows;
-  if (fast()) {
-    const Shard& s = *shards_[static_cast<std::size_t>(ShardOfPartition(part))];
-    std::lock_guard<std::mutex> lock(s.mu);
-    const std::vector<RowKey> keys =
-        SortedDirtyLocked(s.dirty[static_cast<std::size_t>(LocalPartition(part))]);
-    rows.reserve(keys.size());
-    for (const RowKey key : keys) {
-      const Slot& slot = s.slots[s.index.at(key)];
-      rows.push_back({key, std::span<const float>(s.values.data() + slot.offset, slot.cols)});
-    }
-    return EncodeDeltaBatch(rows);
-  }
-  const Partition& p = *partitions_[static_cast<std::size_t>(part)];
-  std::lock_guard<std::mutex> lock(p.mu);
-  const std::vector<RowKey> keys = SortedDirtyLocked(p.dirty);
-  rows.reserve(keys.size());
-  for (const RowKey key : keys) {
-    const std::vector<float>& value = p.state.at(key);
-    rows.push_back({key, std::span<const float>(value)});
-  }
-  return EncodeDeltaBatch(rows);
 }
 
 void ModelStore::RollbackPartitionToBackup(PartitionId part) {
   PROTEUS_CHECK(backups_enabled_);
-  if (fast()) {
-    Shard& s = *shards_[static_cast<std::size_t>(ShardOfPartition(part))];
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto& dirty = s.dirty[static_cast<std::size_t>(LocalPartition(part))];
-    for (const RowKey key : dirty) {
-      const std::uint32_t idx = s.index.at(key);
-      Slot& slot = s.slots[idx];
-      if (slot.in_backup) {
-        std::memcpy(s.values.data() + slot.offset, s.backup_values.data() + slot.offset,
-                    static_cast<std::size_t>(slot.cols) * sizeof(float));
-      } else {
-        // Row materialized after the last sync; drop it — lazy init will
-        // recreate the identical initial value on next read. The arena
-        // slot is retired (append-only storage is never compacted).
-        slot.live = false;
-        s.index.erase(key);
-        --s.live_rows;
-      }
-    }
-    dirty.clear();
-    s.version.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
   Partition& p = *partitions_[static_cast<std::size_t>(part)];
   std::lock_guard<std::mutex> lock(p.mu);
   for (RowKey key : p.dirty) {
@@ -405,7 +170,7 @@ void ModelStore::RollbackPartitionToBackup(PartitionId part) {
     }
   }
   p.dirty.clear();
-  legacy_version_.fetch_add(1, std::memory_order_relaxed);
+  version_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ModelStore::RollbackAllToBackup() {
@@ -415,18 +180,6 @@ void ModelStore::RollbackAllToBackup() {
 }
 
 std::uint64_t ModelStore::PartitionBytes(PartitionId part) const {
-  if (fast()) {
-    const Shard& s = *shards_[static_cast<std::size_t>(ShardOfPartition(part))];
-    std::lock_guard<std::mutex> lock(s.mu);
-    std::vector<RowKey> keys;
-    for (const auto& [key, idx] : s.index) {
-      if (PartitionOf(TableOfKey(key), RowOfKey(key)) == part) {
-        keys.push_back(key);
-      }
-    }
-    std::sort(keys.begin(), keys.end());
-    return CoalescedBytes(keys);
-  }
   const Partition& p = *partitions_[static_cast<std::size_t>(part)];
   std::lock_guard<std::mutex> lock(p.mu);
   std::uint64_t bytes = 0;
@@ -436,79 +189,40 @@ std::uint64_t ModelStore::PartitionBytes(PartitionId part) const {
   return bytes;
 }
 
-void ModelStore::AppendPartitionCheckpoint(PartitionId part,
-                                           std::vector<std::uint8_t>& blob) const {
+std::vector<std::uint8_t> ModelStore::SerializeCheckpoint() const {
+  std::vector<std::uint8_t> blob;
   auto append = [&blob](const void* data, std::size_t n) {
     const auto* bytes = static_cast<const std::uint8_t*>(data);
     blob.insert(blob.end(), bytes, bytes + n);
   };
-  auto append_row = [&append](RowKey key, const float* v, std::uint32_t cols) {
-    append(&key, sizeof(key));
-    append(&cols, sizeof(cols));
-    append(v, static_cast<std::size_t>(cols) * sizeof(float));
-  };
-  if (fast()) {
-    const Shard& s = *shards_[static_cast<std::size_t>(ShardOfPartition(part))];
-    std::lock_guard<std::mutex> lock(s.mu);
-    std::vector<RowKey> keys;
-    for (const auto& [key, idx] : s.index) {
-      if (PartitionOf(TableOfKey(key), RowOfKey(key)) == part) {
-        keys.push_back(key);
-      }
+  std::vector<RowKey> keys;
+  for (const auto& p : partitions_) {
+    std::lock_guard<std::mutex> lock(p->mu);
+    keys.clear();
+    keys.reserve(p->state.size());
+    for (const auto& [key, unused] : p->state) {
+      keys.push_back(key);
     }
     std::sort(keys.begin(), keys.end());
     for (const RowKey key : keys) {
-      const Slot& slot = s.slots[s.index.at(key)];
-      append_row(key, s.values.data() + slot.offset, slot.cols);
+      const std::vector<float>& value = p->state.at(key);
+      const auto cols = static_cast<std::uint32_t>(value.size());
+      append(&key, sizeof(key));
+      append(&cols, sizeof(cols));
+      append(value.data(), value.size() * sizeof(float));
     }
-    return;
-  }
-  const Partition& p = *partitions_[static_cast<std::size_t>(part)];
-  std::lock_guard<std::mutex> lock(p.mu);
-  std::vector<RowKey> keys;
-  keys.reserve(p.state.size());
-  for (const auto& [key, unused] : p.state) {
-    keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-  for (const RowKey key : keys) {
-    const std::vector<float>& value = p.state.at(key);
-    append_row(key, value.data(), static_cast<std::uint32_t>(value.size()));
-  }
-}
-
-std::vector<std::uint8_t> ModelStore::SerializeCheckpoint() const {
-  std::vector<std::uint8_t> blob;
-  for (PartitionId p = 0; p < num_partitions_; ++p) {
-    AppendPartitionCheckpoint(p, blob);
   }
   return blob;
 }
 
-std::vector<std::uint8_t> ModelStore::SerializeShardCheckpoint(int shard) const {
-  PROTEUS_CHECK_GE(shard, 0);
-  PROTEUS_CHECK_LT(shard, options_.shards);
-  std::vector<std::uint8_t> blob;
-  for (PartitionId p = shard; p < num_partitions_; p += options_.shards) {
-    AppendPartitionCheckpoint(p, blob);
+void ModelStore::RestoreCheckpoint(std::span<const std::uint8_t> blob) {
+  for (auto& p : partitions_) {
+    std::lock_guard<std::mutex> lock(p->mu);
+    p->state.clear();
+    p->backup.clear();  // Restore invalidates the backup copy.
+    p->dirty.clear();
   }
-  return blob;
-}
-
-void ModelStore::RestoreCheckpoint(const std::vector<std::uint8_t>& blob) {
-  if (fast()) {
-    for (int s = 0; s < options_.shards; ++s) {
-      RestoreShardCheckpoint(s, std::span<const std::uint8_t>());
-    }
-  } else {
-    for (auto& p : partitions_) {
-      std::lock_guard<std::mutex> lock(p->mu);
-      p->state.clear();
-      p->backup.clear();  // Restore invalidates the backup copy.
-      p->dirty.clear();
-    }
-    legacy_version_.fetch_add(1, std::memory_order_relaxed);
-  }
+  version_.fetch_add(1, std::memory_order_relaxed);
   backups_enabled_ = false;
   std::size_t offset = 0;
   auto read = [&](void* out, std::size_t n) {
@@ -521,156 +235,20 @@ void ModelStore::RestoreCheckpoint(const std::vector<std::uint8_t>& blob) {
     std::uint32_t n = 0;
     read(&key, sizeof(key));
     read(&n, sizeof(n));
+    const int tbl = TableOfKey(key);
+    // A blob from a differently shaped model (e.g. another MF rank) must
+    // not install rows of the wrong width.
+    PROTEUS_CHECK_EQ(static_cast<int>(n), table(tbl).cols) << "row width mismatch, key " << key;
     std::vector<float> value(n);
     read(value.data(), n * sizeof(float));
-    const int tbl = TableOfKey(key);
-    const std::int64_t row = RowOfKey(key);
-    if (fast()) {
-      const PartitionId part = PartitionOf(tbl, row);
-      Shard& s = *shards_[static_cast<std::size_t>(ShardOfPartition(part))];
-      std::lock_guard<std::mutex> lock(s.mu);
-      const Slot& slot = s.slots[SlotLocked(s, key, static_cast<int>(n))];
-      std::copy(value.begin(), value.end(),
-                s.values.begin() + static_cast<std::ptrdiff_t>(slot.offset));
-    } else {
-      Partition& p = PartitionFor(tbl, row);
-      std::lock_guard<std::mutex> lock(p.mu);
-      p.state[key] = std::move(value);
-    }
+    Partition& p = PartitionFor(tbl, RowOfKey(key));
+    std::lock_guard<std::mutex> lock(p.mu);
+    p.state[key] = std::move(value);
   }
-}
-
-void ModelStore::RestoreShardCheckpoint(int shard, std::span<const std::uint8_t> blob) {
-  PROTEUS_CHECK_GE(shard, 0);
-  PROTEUS_CHECK_LT(shard, options_.shards);
-  if (!fast()) {
-    // Single shard == the whole store; reuse the full restore (which also
-    // invalidates the backup).
-    RestoreCheckpoint(std::vector<std::uint8_t>(blob.begin(), blob.end()));
-    return;
-  }
-  Shard& s = *shards_[static_cast<std::size_t>(shard)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.values.clear();
-  s.backup_values.clear();
-  s.index.clear();
-  s.slots.clear();
-  for (auto& d : s.dirty) {
-    d.clear();
-  }
-  s.live_rows = 0;
-  std::size_t offset = 0;
-  auto read = [&](void* out, std::size_t n) {
-    PROTEUS_CHECK_LE(offset + n, blob.size());
-    std::memcpy(out, blob.data() + offset, n);
-    offset += n;
-  };
-  while (offset < blob.size()) {
-    RowKey key = 0;
-    std::uint32_t n = 0;
-    read(&key, sizeof(key));
-    read(&n, sizeof(n));
-    const PartitionId part = PartitionOf(TableOfKey(key), RowOfKey(key));
-    PROTEUS_CHECK_EQ(ShardOfPartition(part), shard) << "row " << key << " not owned by shard";
-    const Slot& slot = s.slots[SlotLocked(s, key, static_cast<int>(n))];
-    read(s.values.data() + slot.offset, static_cast<std::size_t>(n) * sizeof(float));
-  }
-  s.version.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t ModelStore::ShardVersion(int shard) const {
-  PROTEUS_CHECK_GE(shard, 0);
-  PROTEUS_CHECK_LT(shard, options_.shards);
-  if (!fast()) {
-    return legacy_version_.load(std::memory_order_relaxed);
-  }
-  return shards_[static_cast<std::size_t>(shard)]->version.load(std::memory_order_relaxed);
-}
-
-ShardState ModelStore::ShardStateOf(int shard) const {
-  PROTEUS_CHECK_GE(shard, 0);
-  PROTEUS_CHECK_LT(shard, options_.shards);
-  ShardState state;
-  if (!fast()) {
-    state.version = legacy_version_.load(std::memory_order_relaxed);
-    state.last_sync_clock = legacy_sync_clock_;
-    state.live_rows = MaterializedRows();
-    return state;
-  }
-  const Shard& s = *shards_[static_cast<std::size_t>(shard)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  state.version = s.version.load(std::memory_order_relaxed);
-  state.last_sync_clock = s.last_sync_clock;
-  state.live_rows = s.live_rows;
-  return state;
-}
-
-double ModelStore::ShardImbalance() const {
-  if (!fast()) {
-    return 1.0;
-  }
-  std::size_t max_rows = 0;
-  std::size_t total = 0;
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    max_rows = std::max(max_rows, s->live_rows);
-    total += s->live_rows;
-  }
-  if (total == 0) {
-    return 1.0;
-  }
-  const double mean = static_cast<double>(total) / static_cast<double>(options_.shards);
-  return static_cast<double>(max_rows) / mean;
-}
-
-void ModelStore::SetObservability(obs::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  apply_nanos_.clear();
-  apply_rows_.clear();
-  shard_rows_.clear();
-  imbalance_gauge_ = nullptr;
-  if (metrics_ == nullptr) {
-    return;
-  }
-  for (int s = 0; s < options_.shards; ++s) {
-    const obs::Labels labels = {{"shard", std::to_string(s)}};
-    apply_nanos_.push_back(metrics_->GetCounter("ps.apply.nanos", labels));
-    apply_rows_.push_back(metrics_->GetCounter("ps.apply.rows", labels));
-    shard_rows_.push_back(metrics_->GetGauge("ps.shard.rows", labels));
-  }
-  imbalance_gauge_ = metrics_->GetGauge("ps.shard.imbalance");
-}
-
-void ModelStore::UpdateShardGauges() {
-  if (metrics_ == nullptr) {
-    return;
-  }
-  if (fast()) {
-    for (int s = 0; s < options_.shards; ++s) {
-      std::lock_guard<std::mutex> lock(shards_[static_cast<std::size_t>(s)]->mu);
-      shard_rows_[static_cast<std::size_t>(s)]->Set(
-          static_cast<double>(shards_[static_cast<std::size_t>(s)]->live_rows));
-    }
-  } else {
-    shard_rows_[0]->Set(static_cast<double>(MaterializedRows()));
-  }
-  imbalance_gauge_->Set(ShardImbalance());
 }
 
 void ModelStore::ForEachRow(
     int table, const std::function<void(std::int64_t, std::span<const float>)>& fn) const {
-  if (fast()) {
-    for (const auto& s : shards_) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      for (const Slot& slot : s->slots) {
-        if (slot.live && TableOfKey(slot.key) == table) {
-          fn(RowOfKey(slot.key),
-             std::span<const float>(s->values.data() + slot.offset, slot.cols));
-        }
-      }
-    }
-    return;
-  }
   for (const auto& p : partitions_) {
     std::lock_guard<std::mutex> lock(p->mu);
     for (const auto& [key, value] : p->state) {
@@ -682,14 +260,6 @@ void ModelStore::ForEachRow(
 }
 
 std::size_t ModelStore::MaterializedRows() const {
-  if (fast()) {
-    std::size_t total = 0;
-    for (const auto& s : shards_) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      total += s->live_rows;
-    }
-    return total;
-  }
   std::size_t total = 0;
   for (const auto& p : partitions_) {
     std::lock_guard<std::mutex> lock(p->mu);

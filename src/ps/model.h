@@ -4,7 +4,7 @@
 // value type: vectors with component-wise add as the aggregation
 // function). Rows are assigned round-robin to a fixed number of
 // partitions chosen at start-up (§3.3: N partitions, ownership moves but
-// shards are never re-split). This class owns:
+// partitions are never re-split). This class owns:
 //   - the authoritative state (what ActivePSs / ParamServs serve),
 //   - an optional backup copy (what BackupPSs hold in stages 2/3),
 //   - per-partition dirty tracking: the set of rows changed since the
@@ -12,30 +12,17 @@
 //     delta applied ... since the last time they applied their state to
 //     the BackupPSs", which makes rollback cheap.
 //
-// Two storage engines sit behind the same interface, selected by
-// ModelOptions::shards:
-//   - shards == 1 (default): the legacy path — one hash map + mutex per
-//     partition, per-row wire accounting. Kept verbatim so the
-//     differential tests (tests/ps_differential_test.cc) can pin the
-//     fast path against it bit for bit.
-//   - shards >= 2: the lock-striped fast path — partitions are grouped
-//     into `shards` stripes (partition p lives wholly in shard
-//     p % shards, so partition-granular elasticity re-assignment never
-//     splits a shard's row set). Each shard holds one mutex, a
-//     contiguous append-only float arena (SIMD-friendly batched
-//     ApplyUpdates), per-shard version/sync-clock metadata, and
-//     delta-sync accounting in the coalesced varint wire format
-//     (EncodeDeltaBatch in src/rpc/serializer.h).
+// Each partition is one hash map of rows plus a mutex; wire accounting
+// is per row (kRowWireOverhead framing on top of the raw floats).
 //
 // Checkpoints are canonical (partitions ascending, rows sorted by key
-// within a partition), so the two engines produce bit-identical bytes
-// for identical state. RestoreCheckpoint / RestoreShardCheckpoint
-// invalidate the backup copy on both paths; callers that use backups
-// must EnableBackups() afterwards (AgileMLRuntime does).
+// within a partition), so identical state yields identical bytes.
+// RestoreCheckpoint invalidates the backup copy; callers that use
+// backups must EnableBackups() afterwards (AgileMLRuntime does).
 //
-// Thread-safety: every operation takes the owning partition's (legacy)
-// or shard's (fast path) mutex. Row vectors are never resized after
-// creation. Per-shard versions are readable lock-free.
+// Thread-safety: every operation takes the owning partition's mutex.
+// Row vectors are never resized after creation. Version() is readable
+// lock-free.
 #ifndef SRC_PS_MODEL_H_
 #define SRC_PS_MODEL_H_
 
@@ -50,8 +37,6 @@
 #include <vector>
 
 #include "src/common/types.h"
-#include "src/obs/metrics.h"
-#include "src/ps/clock_table.h"  // For the Clock alias.
 
 namespace proteus {
 
@@ -65,13 +50,6 @@ struct TableSpec {
   float init_jitter = 0.0F;
 };
 
-// Storage-engine knobs (see the header comment for semantics).
-struct ModelOptions {
-  // Lock stripes. 1 = legacy per-partition hash-map path; >= 2 = the
-  // contiguous-arena striped fast path. Clamped to num_partitions.
-  int shards = 1;
-};
-
 using RowKey = std::uint64_t;
 
 constexpr RowKey MakeRowKey(int table, std::int64_t row) {
@@ -83,42 +61,19 @@ constexpr std::int64_t RowOfKey(RowKey key) {
   return static_cast<std::int64_t>(key & ((1ULL << 40) - 1));
 }
 
-// Serialization overhead per row on the wire with legacy per-row framing
-// (key + length + framing). The fast path replaces this with coalesced
-// varint batches.
+// Serialization overhead per row on the wire (key + length + framing).
 inline constexpr std::size_t kRowWireOverhead = 16;
-
-// One row update for the batched apply path. `values` must stay alive
-// for the duration of the ApplyUpdates call.
-struct RowDelta {
-  int table = 0;
-  std::int64_t row = 0;
-  std::span<const float> values;
-};
-
-// Point-in-time metadata of one shard (fast path; the legacy path
-// reports everything under shard 0).
-struct ShardState {
-  std::uint64_t version = 0;    // Bumps on every state mutation.
-  Clock last_sync_clock = -1;   // Last SyncPartitionToBackup(p, clock) here.
-  std::size_t live_rows = 0;    // Materialized, non-dropped rows.
-};
 
 class ModelStore {
  public:
-  ModelStore(std::vector<TableSpec> tables, int num_partitions, std::uint64_t seed)
-      : ModelStore(std::move(tables), num_partitions, seed, ModelOptions{}) {}
-  ModelStore(std::vector<TableSpec> tables, int num_partitions, std::uint64_t seed,
-             ModelOptions options);
+  ModelStore(std::vector<TableSpec> tables, int num_partitions, std::uint64_t seed);
 
   int num_partitions() const { return num_partitions_; }
-  int shards() const { return options_.shards; }
-  int ShardOfPartition(PartitionId p) const { return static_cast<int>(p) % options_.shards; }
   const std::vector<TableSpec>& tables() const { return tables_; }
   const TableSpec& table(int table_id) const;
 
   PartitionId PartitionOf(int table, std::int64_t row) const;
-  std::size_t RowBytes(int table) const;  // Legacy wire size of one row.
+  std::size_t RowBytes(int table) const;  // Wire size of one row.
   // Total wire size of the full model (all rows of all tables).
   std::uint64_t ModelBytes() const;
 
@@ -126,11 +81,6 @@ class ModelStore {
   void ReadRow(int table, std::int64_t row, std::vector<float>& out) const;
   // Component-wise add; marks the row dirty.
   void ApplyDelta(int table, std::int64_t row, std::span<const float> delta);
-  // Batched component-wise add: each shard's lock is taken once for the
-  // whole batch and rows are applied in input order within a shard. On
-  // the legacy path this degenerates to per-row ApplyDelta calls, which
-  // is exactly the baseline the micro_ops bench compares against.
-  void ApplyUpdates(std::span<const RowDelta> deltas);
   // Overwrites the row (used by tests and recovery paths).
   void SetRow(int table, std::int64_t row, std::span<const float> value);
 
@@ -138,18 +88,12 @@ class ModelStore {
   // Snapshots current state as the backup copy and clears dirty sets.
   void EnableBackups();
   bool backups_enabled() const { return backups_enabled_; }
-  // Wire bytes that a sync of partition p would transfer right now:
-  // per-row framing on the legacy path, one coalesced delta batch on the
-  // fast path (0 when nothing is dirty on either path).
+  // Wire bytes that a sync of partition p would transfer right now (0
+  // when nothing is dirty).
   std::uint64_t DirtyBytes(PartitionId p) const;
   // Copies dirty rows of partition p into the backup; returns the wire
-  // bytes (same accounting as DirtyBytes). `at_clock >= 0` records the
-  // sync clock in the owning shard's metadata.
-  std::uint64_t SyncPartitionToBackup(PartitionId p, Clock at_clock = -1);
-  // The exact coalesced wire payload a sync of partition p would send:
-  // the dirty rows' current values as one delta batch, rows in key
-  // order. Byte-identical across storage engines for identical state.
-  std::vector<std::uint8_t> EncodeDirtyRows(PartitionId p) const;
+  // bytes (same accounting as DirtyBytes).
+  std::uint64_t SyncPartitionToBackup(PartitionId p);
   // Reverts partition p's state to the backup copy (discarding deltas
   // applied since the last sync). Rows created after the last sync are
   // dropped; lazy init will recreate them identically.
@@ -160,32 +104,15 @@ class ModelStore {
 
   // --- Checkpointing (stage-1 reliable-machine insurance, §3.3) ---
   // Serializes the full authoritative state in canonical order
-  // (partitions ascending, rows sorted by key within each partition);
-  // identical state yields identical bytes on both storage engines.
+  // (partitions ascending, rows sorted by key within each partition).
   std::vector<std::uint8_t> SerializeCheckpoint() const;
-  // Canonical bytes of one shard's partitions (ascending), enabling
-  // shard-granular snapshot/restore.
-  std::vector<std::uint8_t> SerializeShardCheckpoint(int shard) const;
-  // Both restores invalidate the backup copy; re-EnableBackups() after.
-  void RestoreCheckpoint(const std::vector<std::uint8_t>& blob);
-  // Clears and reloads exactly the given shard's partitions. Rows in the
-  // blob must belong to the shard.
-  void RestoreShardCheckpoint(int shard, std::span<const std::uint8_t> blob);
+  // Clears the store and reloads the blob's rows, placing each by key
+  // (so the concatenation of canonical blobs restores exactly).
+  // Invalidates the backup copy; re-EnableBackups() after.
+  void RestoreCheckpoint(std::span<const std::uint8_t> blob);
 
-  // --- Per-shard metadata and observability ---
-  // Lock-free monotonic mutation counter of one shard.
-  std::uint64_t ShardVersion(int shard) const;
-  ShardState ShardStateOf(int shard) const;
-  // max/mean live rows across shards (1.0 = perfectly balanced; 1.0 when
-  // the store is empty).
-  double ShardImbalance() const;
-  // Registers ps.apply.* counters and ps.shard.* gauges (per-shard
-  // labels). Pass nullptr to detach. Not thread-safe against concurrent
-  // mutators; attach before use like the runtime does.
-  void SetObservability(obs::MetricsRegistry* metrics);
-  // Refreshes ps.shard.rows / ps.shard.imbalance gauges (no-op when
-  // detached). The runtime calls this once per clock.
-  void UpdateShardGauges();
+  // Lock-free monotonic mutation counter (bumps on every state change).
+  std::uint64_t Version() const { return version_.load(std::memory_order_relaxed); }
 
   // Sequential iteration over materialized rows of a table (objective
   // computation). Not thread-safe against concurrent writers.
@@ -196,7 +123,6 @@ class ModelStore {
   std::size_t MaterializedRows() const;
 
  private:
-  // --- Legacy engine (shards == 1) ---
   struct Partition {
     mutable std::mutex mu;
     std::unordered_map<RowKey, std::vector<float>> state;
@@ -204,63 +130,18 @@ class ModelStore {
     std::unordered_set<RowKey> dirty;
   };
 
-  // --- Striped engine (shards >= 2) ---
-  struct Slot {
-    RowKey key = 0;
-    std::size_t offset = 0;     // Into values/backup_values, in floats.
-    std::uint32_t cols = 0;
-    bool live = true;           // False after a rollback dropped the row.
-    bool in_backup = false;     // backup_values holds a valid copy.
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<float> values;         // Contiguous append-only arena.
-    std::vector<float> backup_values;  // Parallel arena, same offsets.
-    std::unordered_map<RowKey, std::uint32_t> index;  // key -> slot (live only).
-    std::vector<Slot> slots;
-    // Dirty row sets, one per local partition (local index p / shards).
-    std::vector<std::unordered_set<RowKey>> dirty;
-    std::atomic<std::uint64_t> version{0};
-    Clock last_sync_clock = -1;
-    std::size_t live_rows = 0;
-  };
-
-  bool fast() const { return options_.shards > 1; }
-  int LocalPartition(PartitionId p) const { return static_cast<int>(p) / options_.shards; }
-
   Partition& PartitionFor(int table, std::int64_t row);
   const Partition& PartitionFor(int table, std::int64_t row) const;
   // Materializes the row if absent. Caller must hold the partition mutex.
   std::vector<float>& RowLocked(Partition& p, int table, std::int64_t row) const;
-  // Fast path: materializes the row if absent and returns its slot
-  // index. Caller must hold the shard mutex.
-  std::uint32_t SlotLocked(Shard& s, RowKey key, int cols) const;
   float InitValueFor(RowKey key, int component) const;
-  // Sorted dirty keys of partition p. Caller must hold the lock.
-  std::vector<RowKey> SortedDirtyLocked(const std::unordered_set<RowKey>& dirty) const;
-  // Coalesced wire bytes of a sorted key set (0 when empty).
-  std::uint64_t CoalescedBytes(const std::vector<RowKey>& sorted_keys) const;
-  // Canonical per-partition row serialization shared by both engines
-  // (locks the owning partition/shard internally).
-  void AppendPartitionCheckpoint(PartitionId p, std::vector<std::uint8_t>& blob) const;
 
   std::vector<TableSpec> tables_;
   int num_partitions_;
   std::uint64_t seed_;
-  ModelOptions options_;
   bool backups_enabled_ = false;
-  std::vector<std::unique_ptr<Partition>> partitions_;  // Legacy engine.
-  std::vector<std::unique_ptr<Shard>> shards_;          // Striped engine.
-  // Legacy-path metadata, reported as shard 0 by ShardStateOf.
-  std::atomic<std::uint64_t> legacy_version_{0};
-  Clock legacy_sync_clock_ = -1;
-
-  // Cached observability handles (see SetObservability).
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::vector<obs::Counter*> apply_nanos_;  // Per shard.
-  std::vector<obs::Counter*> apply_rows_;   // Per shard.
-  std::vector<obs::Gauge*> shard_rows_;     // Per shard.
-  obs::Gauge* imbalance_gauge_ = nullptr;
+  std::vector<std::unique_ptr<Partition>> partitions_;
+  std::atomic<std::uint64_t> version_{0};
 };
 
 }  // namespace proteus

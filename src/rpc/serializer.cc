@@ -49,8 +49,10 @@ bool WireReader::Take(void* out, std::size_t n) {
     failed_ = true;
     return false;
   }
-  std::memcpy(out, data_.data() + offset_, n);
-  offset_ += n;
+  if (n > 0) {  // memcpy needs non-null pointers even for 0 bytes.
+    std::memcpy(out, data_.data() + offset_, n);
+    offset_ += n;
+  }
   return true;
 }
 

@@ -43,9 +43,15 @@ class WireWriter {
   std::vector<std::uint8_t> Take() { return std::move(buf_); }
 
  private:
+  // resize + memcpy rather than vector::insert: GCC 12 misreads the
+  // inlined insert growth path as an out-of-bounds copy (-Warray-bounds).
   void AppendRaw(const void* data, std::size_t n) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + n);
+    if (n == 0) {
+      return;
+    }
+    const std::size_t old = buf_.size();
+    buf_.resize(old + n);
+    std::memcpy(buf_.data() + old, data, n);
   }
   std::vector<std::uint8_t> buf_;
 };

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -192,6 +193,51 @@ TEST(CheckpointStoreTest, FileDeviceEndToEndWithReopen) {
   EXPECT_EQ(loaded->clock, 7);
   EXPECT_EQ(loaded->shard_blobs, blobs);
   std::filesystem::remove_all(root);
+}
+
+TEST(CheckpointStoreTest, ModelWritesOneChunkAndMultiChunkPayloadRestoresExactly) {
+  const std::vector<TableSpec> tables = {{0, 64, 4, 0.0F, 0.1F}, {1, 16, 3, 1.0F, 0.0F}};
+  ModelStore model(tables, 8, 5);
+  for (std::int64_t r = 0; r < 64; r += 3) {
+    model.ApplyDelta(0, r, std::vector<float>(4, 0.5F));
+  }
+  for (std::int64_t r = 0; r < 16; r += 2) {
+    model.ApplyDelta(1, r, std::vector<float>(3, -1.0F));
+  }
+  const std::vector<std::uint8_t> canonical = model.SerializeCheckpoint();
+
+  // WriteCheckpoint stores the whole model as one chunk.
+  MemDurableDevice device;
+  CheckpointStore store(&device);
+  const CheckpointWriteResult write = store.WriteCheckpoint(model, 3);
+  ASSERT_TRUE(write.committed);
+  EXPECT_EQ(write.chunks_written, 1);
+  auto loaded = store.ReadNewestValid();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->Payload(), canonical);
+
+  // An epoch whose rows are split across chunks out of canonical order
+  // (table 1's rows first) still restores exactly: rows are placed by
+  // key.
+  std::vector<std::vector<std::uint8_t>> chunks(2);
+  for (std::size_t offset = 0; offset < canonical.size();) {
+    RowKey key = 0;
+    std::uint32_t cols = 0;
+    std::memcpy(&key, canonical.data() + offset, sizeof(key));
+    std::memcpy(&cols, canonical.data() + offset + sizeof(key), sizeof(cols));
+    const std::size_t n = sizeof(key) + sizeof(cols) + cols * sizeof(float);
+    auto& chunk = chunks[TableOfKey(key) == 1 ? 0 : 1];
+    chunk.insert(chunk.end(), canonical.begin() + static_cast<std::ptrdiff_t>(offset),
+                 canonical.begin() + static_cast<std::ptrdiff_t>(offset + n));
+    offset += n;
+  }
+  ASSERT_TRUE(store.WriteBlobs(chunks, {0, 0}, 4).committed);
+  loaded = store.ReadNewestValid();
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->shard_blobs.size(), 2u);
+  ModelStore restored(tables, 8, 5);
+  restored.RestoreCheckpoint(loaded->Payload());
+  EXPECT_EQ(restored.SerializeCheckpoint(), canonical);
 }
 
 TEST(MemDurableDeviceTest, FaultHooksDisarmAfterOneShot) {

@@ -135,7 +135,7 @@ TEST_F(ClusterSchedulerTest, SimultaneousDeadlinesBothMetDeterministically) {
   TenantSpec b = Tenant("b", 8.0, 4);
   a.deadline = b.deadline = 16 * kDay + 12 * kHour;
   const FleetResult result = Run({a, b}, Config(8));
-  for (const std::string& name : {"a", "b"}) {
+  for (const char* name : {"a", "b"}) {
     const TenantResult* t = result.Find(name);
     ASSERT_NE(t, nullptr);
     EXPECT_TRUE(t->completed) << name;

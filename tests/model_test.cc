@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+
 #include "src/ps/model.h"
 
 namespace proteus {
@@ -164,98 +167,159 @@ TEST(ModelStore, PartitionBytesCountsMaterializedRows) {
   EXPECT_EQ(m.PartitionBytes(0), m.RowBytes(0) + m.RowBytes(1));
 }
 
-// --- Lock-striped fast-path invariants (ModelOptions::shards >= 2) ---
-// Full cross-engine differentials live in tests/ps_differential_test.cc;
-// these pin the fast path's own contracts.
-
-ModelStore Striped(int shards, int num_partitions = 8) {
-  ModelOptions options;
-  options.shards = shards;
-  return ModelStore(TwoTables(), num_partitions, 7, options);
-}
-
-TEST(ModelStore, ShardsClampToPartitionCount) {
-  ModelStore m = Striped(/*shards=*/64, /*num_partitions=*/4);
-  EXPECT_EQ(m.shards(), 4);
-  for (PartitionId p = 0; p < 4; ++p) {
-    EXPECT_EQ(m.ShardOfPartition(p), p % m.shards());
-  }
-}
-
-TEST(ModelStore, StripedDirtyBytesUseCoalescedAccounting) {
-  ModelStore m = Striped(4);
-  m.EnableBackups();
-  const std::vector<float> delta(4, 1.0F);
-  m.ApplyDelta(0, 0, delta);
-  const PartitionId p = m.PartitionOf(0, 0);
-  // One dirty row: exactly the bytes of its coalesced payload, which is
-  // far below the legacy per-row framing.
-  EXPECT_EQ(m.DirtyBytes(p), m.EncodeDirtyRows(p).size());
-  EXPECT_LT(m.DirtyBytes(p), m.RowBytes(0));
-  EXPECT_EQ(m.SyncPartitionToBackup(p), m.EncodeDirtyRows(p).size());
-  EXPECT_EQ(m.DirtyBytes(p), 0u);
-}
-
-TEST(ModelStore, StripedCheckpointMatchesLegacy) {
-  ModelStore legacy(TwoTables(), 8, 7);
-  ModelStore striped = Striped(4);
-  const std::vector<float> d0(4, 0.5F);
-  const std::vector<float> d1(8, -0.5F);
-  for (std::int64_t r = 0; r < 100; ++r) {
-    legacy.ApplyDelta(0, r, d0);
-    striped.ApplyDelta(0, r, d0);
-  }
-  for (std::int64_t r = 0; r < 50; ++r) {
-    legacy.ApplyDelta(1, r, d1);
-    striped.ApplyDelta(1, r, d1);
-  }
-  EXPECT_EQ(striped.SerializeCheckpoint(), legacy.SerializeCheckpoint());
-}
-
-TEST(ModelStore, StripedRestoreInvalidatesBackup) {
-  ModelStore m = Striped(4);
+TEST(ModelStore, RestoreInvalidatesBackup) {
+  ModelStore m(TwoTables(), 8, 7);
   m.EnableBackups();
   ASSERT_TRUE(m.backups_enabled());
   m.RestoreCheckpoint(m.SerializeCheckpoint());
   EXPECT_FALSE(m.backups_enabled());  // Caller must re-EnableBackups().
 }
 
-TEST(ModelStore, ShardStateReflectsRowPlacement) {
-  ModelStore m = Striped(4);
-  const std::vector<float> delta(4, 1.0F);
-  // Table 0 rows land round-robin over partitions; partition p lives in
-  // shard p % 4. Touch rows of one known partition only.
-  std::int64_t row = -1;
-  for (std::int64_t r = 0; r < 100; ++r) {
-    if (m.PartitionOf(0, r) == 2) {
-      row = r;
-      break;
-    }
-  }
-  ASSERT_GE(row, 0);
-  m.ApplyDelta(0, row, delta);
-  EXPECT_EQ(m.ShardStateOf(2).live_rows, 1u);
-  EXPECT_EQ(m.ShardStateOf(3).live_rows, 0u);
-  EXPECT_EQ(m.MaterializedRows(), 1u);
-  // One populated shard out of four: imbalance is max/mean = 4.
-  EXPECT_DOUBLE_EQ(m.ShardImbalance(), 4.0);
+TEST(ModelStoreDeathTest, RestoreRejectsRowsOfTheWrongWidth) {
+  // A blob written by a differently shaped model (table 0 with 6 columns
+  // instead of 4) passes every framing check but must not install.
+  ModelStore wide({{0, 100, 6, 0.0F, 0.1F}, {1, 50, 8, 1.0F, 0.0F}}, 8, 7);
+  std::vector<float> tmp;
+  wide.ReadRow(0, 3, tmp);
+  const std::vector<std::uint8_t> blob = wide.SerializeCheckpoint();
+  ModelStore m(TwoTables(), 8, 7);
+  EXPECT_DEATH(m.RestoreCheckpoint(blob), "row width mismatch");
 }
 
-TEST(ModelStore, StripedRollbackRetiresArenaSlots) {
-  ModelStore m = Striped(4);
+// Sixty seeded single-row applies, overwrites and reads over both tables.
+void MutateRandomly(ModelStore& m, std::mt19937_64& rng) {
+  for (int i = 0; i < 60; ++i) {
+    const int t = static_cast<int>(rng() % 2);
+    const TableSpec& spec = m.table(t);
+    const auto row = static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(spec.rows));
+    std::vector<float> v(static_cast<std::size_t>(spec.cols));
+    for (auto& x : v) {
+      x = static_cast<float>(static_cast<std::int64_t>(rng() % 2001) - 1000) / 256.0F;
+    }
+    switch (i % 6) {
+      case 4:
+        m.SetRow(t, row, v);
+        break;
+      case 5:
+        m.ReadRow(t, row, v);  // Reads materialize rows.
+        break;
+      default:
+        m.ApplyDelta(t, row, v);
+    }
+  }
+}
+
+TEST(ModelStore, CheckpointIsCanonicalAndRoundTripsExactly) {
+  ModelStore m(TwoTables(), 12, 42);
+  std::mt19937_64 rng(7);
+  MutateRandomly(m, rng);
+  const std::vector<std::uint8_t> blob = m.SerializeCheckpoint();
+
+  // Canonical layout: partitions ascending, keys ascending within each.
+  std::size_t offset = 0;
+  PartitionId last_part = 0;
+  RowKey last_key = 0;
+  std::size_t rows = 0;
+  while (offset < blob.size()) {
+    RowKey key = 0;
+    std::uint32_t cols = 0;
+    std::memcpy(&key, blob.data() + offset, sizeof(key));
+    std::memcpy(&cols, blob.data() + offset + sizeof(key), sizeof(cols));
+    offset += sizeof(key) + sizeof(cols) + cols * sizeof(float);
+    const PartitionId part = m.PartitionOf(TableOfKey(key), RowOfKey(key));
+    ASSERT_EQ(static_cast<int>(cols), m.table(TableOfKey(key)).cols);
+    if (rows > 0) {
+      ASSERT_GE(part, last_part);
+      if (part == last_part) {
+        ASSERT_GT(key, last_key);
+      }
+    }
+    last_part = part;
+    last_key = key;
+    ++rows;
+  }
+  EXPECT_EQ(offset, blob.size());
+  EXPECT_EQ(rows, m.MaterializedRows());
+
+  // Restoring into a fresh store (or the same one after more writes)
+  // reproduces the bytes exactly.
+  ModelStore fresh(TwoTables(), 12, 42);
+  fresh.RestoreCheckpoint(blob);
+  EXPECT_EQ(fresh.SerializeCheckpoint(), blob);
+  EXPECT_EQ(fresh.MaterializedRows(), m.MaterializedRows());
+  MutateRandomly(m, rng);
+  m.RestoreCheckpoint(blob);
+  EXPECT_EQ(m.SerializeCheckpoint(), blob);
+}
+
+// Every row of both tables reads the same in `a` and `b` (reads
+// materialize rows, so compare values, not checkpoint bytes).
+void ExpectSameRows(const ModelStore& a, const ModelStore& b) {
+  std::vector<float> va;
+  std::vector<float> vb;
+  for (int t = 0; t < 2; ++t) {
+    for (std::int64_t r = 0; r < a.table(t).rows; ++r) {
+      a.ReadRow(t, r, va);
+      b.ReadRow(t, r, vb);
+      ASSERT_EQ(va, vb) << "table " << t << " row " << r;
+    }
+  }
+}
+
+TEST(ModelStore, RollbackReturnsToTheLastSyncedState) {
+  ModelStore m(TwoTables(), 12, 42);
+  std::mt19937_64 rng(9);
+  MutateRandomly(m, rng);
   m.EnableBackups();
-  const std::vector<float> delta(4, 2.0F);
-  m.ApplyDelta(0, 7, delta);  // Materialized after the backup snapshot.
-  ASSERT_EQ(m.MaterializedRows(), 1u);
+  const std::vector<std::uint8_t> at_enable = m.SerializeCheckpoint();
+  ModelStore expect(TwoTables(), 12, 42);
+  expect.RestoreCheckpoint(at_enable);
+  MutateRandomly(m, rng);
   m.RollbackAllToBackup();
-  EXPECT_EQ(m.MaterializedRows(), 0u);  // Slot retired, row dropped.
-  std::vector<float> v;
-  m.ReadRow(0, 7, v);  // Lazy re-init must give the pristine value.
-  ModelStore clean(TwoTables(), 8, 7);
-  std::vector<float> fresh;
-  clean.ReadRow(0, 7, fresh);
-  EXPECT_EQ(v, fresh);
-  EXPECT_EQ(m.MaterializedRows(), 1u);  // Re-materialized cleanly.
+  ExpectSameRows(m, expect);
+
+  // Sync every other partition, dirty more rows, roll back: synced
+  // partitions keep their synced rows, the rest return to the backup.
+  MutateRandomly(m, rng);
+  for (PartitionId p = 0; p < m.num_partitions(); p += 2) {
+    m.SyncPartitionToBackup(p);
+  }
+  std::vector<float> row;
+  for (int t = 0; t < 2; ++t) {
+    for (std::int64_t r = 0; r < m.table(t).rows; ++r) {
+      if (m.PartitionOf(t, r) % 2 == 0) {
+        m.ReadRow(t, r, row);
+        expect.SetRow(t, r, row);
+      }
+    }
+  }
+  MutateRandomly(m, rng);
+  m.RollbackAllToBackup();
+  ExpectSameRows(m, expect);
+}
+
+TEST(ModelStore, VersionBumpsOnEveryStateChange) {
+  ModelStore m(TwoTables(), 4, 7);
+  const std::vector<float> delta(4, 1.0F);
+  std::uint64_t v = m.Version();
+  auto bumped = [&m, &v] {
+    const bool up = m.Version() > v;
+    v = m.Version();
+    return up;
+  };
+  m.ApplyDelta(0, 0, delta);
+  EXPECT_TRUE(bumped());
+  m.SetRow(0, 1, delta);
+  EXPECT_TRUE(bumped());
+  m.EnableBackups();
+  EXPECT_TRUE(bumped());
+  m.ApplyDelta(0, 0, delta);
+  m.SyncPartitionToBackup(m.PartitionOf(0, 0));
+  EXPECT_TRUE(bumped());
+  m.RollbackPartitionToBackup(m.PartitionOf(0, 0));
+  EXPECT_TRUE(bumped());
+  m.RestoreCheckpoint(m.SerializeCheckpoint());
+  EXPECT_TRUE(bumped());
 }
 
 }  // namespace

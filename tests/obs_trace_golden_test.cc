@@ -15,13 +15,12 @@
 namespace proteus {
 namespace {
 
-ChaosConfig GoldenConfig(std::uint64_t seed, int model_shards = 1) {
+ChaosConfig GoldenConfig(std::uint64_t seed) {
   ChaosConfig config;
   config.agileml.num_partitions = 8;
   config.agileml.data_blocks = 64;
   config.agileml.parallel_execution = false;  // Required for determinism.
   config.agileml.backup_sync_every = 3;
-  config.agileml.model.shards = model_shards;
   config.agileml.seed = seed;
   config.schedule.horizon = 20;
   config.schedule.events = 8;
@@ -31,10 +30,10 @@ ChaosConfig GoldenConfig(std::uint64_t seed, int model_shards = 1) {
 }
 
 // One instrumented chaos run; returns the rendered trace JSON.
-std::string TraceOneRun(MLApp* app, std::uint64_t seed, int model_shards = 1) {
+std::string TraceOneRun(MLApp* app, std::uint64_t seed) {
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
-  ChaosHarness harness(app, GoldenConfig(seed, model_shards));
+  ChaosHarness harness(app, GoldenConfig(seed));
   harness.SetObservability(&tracer, &metrics);
   const ChaosRunResult result = harness.Run();
   EXPECT_TRUE(result.ok()) << harness.auditor().Report();
@@ -70,31 +69,6 @@ TEST(ObsTraceGolden, SameSeedRunsRenderByteIdenticalJson) {
   EXPECT_NE(first.find("\"name\":\"clock\""), std::string::npos);
   EXPECT_NE(first.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(first.find("\"ph\":\"i\""), std::string::npos);
-}
-
-TEST(ObsTraceGolden, ShardedModelChaosRunsStayDeterministic) {
-  RatingsConfig rc;
-  rc.users = 200;
-  rc.items = 100;
-  rc.ratings = 6000;
-  RatingsDataset data = GenerateRatings(rc);
-  MfConfig mc;
-  mc.rank = 4;
-  MatrixFactorizationApp app(&data, mc);
-
-  // The lock-striped fast path under chaos: same seed, same shard count
-  // => byte-identical traces (coalesced byte accounting and the striped
-  // arena introduce no nondeterminism).
-  const std::string first = TraceOneRun(&app, /*seed=*/7, /*model_shards=*/4);
-  const std::string second = TraceOneRun(&app, /*seed=*/7, /*model_shards=*/4);
-  EXPECT_EQ(first, second);
-
-  // The engines account wire bytes differently (per-row framing vs
-  // coalesced batches), so virtual timings — and hence traces — must
-  // genuinely differ from the legacy run: the equality above is not
-  // vacuously comparing the same code path.
-  const std::string legacy = TraceOneRun(&app, /*seed=*/7, /*model_shards=*/1);
-  EXPECT_NE(first, legacy);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Soak-labeled long variant of tests/ps_stress_test.cc (the filename's
 // "soak" gives it the ctest `soak` label; excluded from the default and
 // TSan suites, run by the dedicated soak lane). Same invariants — no
-// torn rows, monotonic shard versions, exact contended sums, consistent
+// torn rows, a monotonic Version(), exact contended sums, consistent
 // concurrent snapshots — at an order of magnitude more work, enough for
-// TSan/ASan to see rare interleavings (arena growth racing readers,
-// rollback racing batched applies).
+// TSan/ASan to see rare interleavings (row materialization racing
+// readers, backup syncs racing applies).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,27 +19,15 @@ namespace {
 
 constexpr int kCols = 16;
 
-ModelStore MakeStore(int shards, std::int64_t rows) {
-  ModelOptions options;
-  options.shards = shards;
-  return ModelStore({{0, rows, kCols, 0.0F, 0.0F}}, /*num_partitions=*/32,
-                    /*seed=*/23, options);
+ModelStore MakeStore(std::int64_t rows) {
+  return ModelStore({{0, rows, kCols, 0.0F, 0.0F}}, /*num_partitions=*/32, /*seed=*/23);
 }
 
 void WriterLoop(ModelStore& store, std::int64_t begin, std::int64_t end, int iters) {
   std::vector<float> delta(kCols, 1.0F);
-  std::vector<RowDelta> batch;
   for (int it = 0; it < iters; ++it) {
-    if (it % 2 == 0) {
-      for (std::int64_t r = begin; r < end; ++r) {
-        store.ApplyDelta(0, r, delta);
-      }
-    } else {
-      batch.clear();
-      for (std::int64_t r = begin; r < end; ++r) {
-        batch.push_back({0, r, std::span<const float>(delta)});
-      }
-      store.ApplyUpdates(batch);
+    for (std::int64_t r = begin; r < end; ++r) {
+      store.ApplyDelta(0, r, delta);
     }
   }
 }
@@ -50,7 +38,7 @@ TEST(PsStressSoakTest, LongMixedWorkloadStaysConsistent) {
   constexpr std::int64_t kRowsPerWriter = 256;
   constexpr std::int64_t kContended = 256;
   constexpr std::int64_t kTotalRows = kWriters * kRowsPerWriter + kContended;
-  ModelStore store = MakeStore(/*shards=*/8, kTotalRows);
+  ModelStore store = MakeStore(kTotalRows);
   store.EnableBackups();
 
   std::atomic<bool> stop{false};
@@ -77,27 +65,23 @@ TEST(PsStressSoakTest, LongMixedWorkloadStaysConsistent) {
   }
 
   std::thread watcher([&] {
-    std::vector<std::uint64_t> last(static_cast<std::size_t>(store.shards()), 0);
+    std::uint64_t last = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      for (int s = 0; s < store.shards(); ++s) {
-        const std::uint64_t v = store.ShardVersion(s);
-        if (v < last[static_cast<std::size_t>(s)]) {
-          version_regressions.fetch_add(1, std::memory_order_relaxed);
-        }
-        last[static_cast<std::size_t>(s)] = v;
+      const std::uint64_t v = store.Version();
+      if (v < last) {
+        version_regressions.fetch_add(1, std::memory_order_relaxed);
       }
+      last = v;
     }
   });
 
   // Background sync pressure on every partition (stage-2 ActivePS load),
   // without rollbacks so the final sums stay exact.
   std::thread syncer([&] {
-    int spin = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       for (PartitionId p = 0; p < store.num_partitions(); ++p) {
-        store.SyncPartitionToBackup(p, /*at_clock=*/spin);
+        store.SyncPartitionToBackup(p);
       }
-      ++spin;
       std::this_thread::yield();
     }
   });
@@ -105,7 +89,7 @@ TEST(PsStressSoakTest, LongMixedWorkloadStaysConsistent) {
   std::thread snapshotter([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       const std::vector<std::uint8_t> blob = store.SerializeCheckpoint();
-      ModelStore replica = MakeStore(8, kTotalRows);
+      ModelStore replica = MakeStore(kTotalRows);
       replica.RestoreCheckpoint(blob);
       replica.ForEachRow(0, [&](std::int64_t, std::span<const float> row) {
         for (std::size_t c = 1; c < row.size(); ++c) {

@@ -1,4 +1,4 @@
-// Concurrency stress battery for the lock-striped ModelStore. Runs under
+// Concurrency stress battery for the ModelStore. Runs under
 // the TSan preset/CI job (cmake --preset tsan) as well as the default
 // and ASan builds. Invariants:
 //   - no torn rows: writers add uniform-constant deltas to rows whose
@@ -9,7 +9,7 @@
 //     row's value equals the exact sum of all constants applied to it
 //     (float addition of identical constants is associative enough:
 //     values are small integers, exactly representable);
-//   - per-shard version counters are monotonic under concurrency;
+//   - the Version() counter is monotonic under concurrency;
 //   - concurrent SerializeCheckpoint snapshots are internally consistent
 //     (restoring one into a fresh store never yields a torn row).
 // The soak-labeled long variant lives in tests/ps_stress_soak_test.cc.
@@ -27,13 +27,10 @@ namespace {
 
 constexpr int kCols = 8;
 
-ModelStore MakeStore(int shards, std::int64_t rows) {
-  ModelOptions options;
-  options.shards = shards;
+ModelStore MakeStore(std::int64_t rows) {
   // init_jitter = 0: every row starts with all components equal, and
   // uniform deltas keep them equal — the torn-row oracle.
-  return ModelStore({{0, rows, kCols, 0.0F, 0.0F}}, /*num_partitions=*/16,
-                    /*seed=*/11, options);
+  return ModelStore({{0, rows, kCols, 0.0F, 0.0F}}, /*num_partitions=*/16, /*seed=*/11);
 }
 
 void ExpectUniformRow(std::span<const float> row, const char* what) {
@@ -43,29 +40,23 @@ void ExpectUniformRow(std::span<const float> row, const char* what) {
 }
 
 // Writers add `value` to every component of rows in [begin, end) for
-// `iters` rounds, alternating the single-row and batched entry points.
+// `iters` rounds.
 void WriterLoop(ModelStore& store, std::int64_t begin, std::int64_t end, float value, int iters) {
   std::vector<float> delta(kCols, value);
-  std::vector<RowDelta> batch;
   for (int it = 0; it < iters; ++it) {
-    if (it % 2 == 0) {
-      for (std::int64_t r = begin; r < end; ++r) {
-        store.ApplyDelta(0, r, delta);
-      }
-    } else {
-      batch.clear();
-      for (std::int64_t r = begin; r < end; ++r) {
-        batch.push_back({0, r, std::span<const float>(delta)});
-      }
-      store.ApplyUpdates(batch);
+    for (std::int64_t r = begin; r < end; ++r) {
+      store.ApplyDelta(0, r, delta);
     }
   }
 }
 
-void RunStress(int shards, int writers, int iters, std::int64_t rows_per_writer) {
-  const std::int64_t contended_rows = rows_per_writer;  // Shared tail range.
-  const std::int64_t total_rows = writers * rows_per_writer + contended_rows;
-  ModelStore store = MakeStore(shards, total_rows);
+TEST(PsStressTest, ConcurrentWritersReadersAndSnapshotsStayConsistent) {
+  constexpr int writers = 8;
+  constexpr int iters = 40;
+  constexpr std::int64_t rows_per_writer = 48;
+  constexpr std::int64_t contended_rows = rows_per_writer;  // Shared tail range.
+  constexpr std::int64_t total_rows = writers * rows_per_writer + contended_rows;
+  ModelStore store = MakeStore(total_rows);
 
   std::atomic<bool> stop{false};
   std::atomic<int> torn{0};
@@ -89,17 +80,15 @@ void RunStress(int shards, int writers, int iters, std::int64_t rows_per_writer)
     }
   });
 
-  // Version watcher: per-shard counters must never move backwards.
+  // Version watcher: the mutation counter must never move backwards.
   std::thread watcher([&] {
-    std::vector<std::uint64_t> last(static_cast<std::size_t>(store.shards()), 0);
+    std::uint64_t last = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      for (int s = 0; s < store.shards(); ++s) {
-        const std::uint64_t v = store.ShardVersion(s);
-        if (v < last[static_cast<std::size_t>(s)]) {
-          version_regressions.fetch_add(1, std::memory_order_relaxed);
-        }
-        last[static_cast<std::size_t>(s)] = v;
+      const std::uint64_t v = store.Version();
+      if (v < last) {
+        version_regressions.fetch_add(1, std::memory_order_relaxed);
       }
+      last = v;
     }
   });
 
@@ -108,7 +97,7 @@ void RunStress(int shards, int writers, int iters, std::int64_t rows_per_writer)
   std::thread snapshotter([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       const std::vector<std::uint8_t> blob = store.SerializeCheckpoint();
-      ModelStore replica = MakeStore(shards, total_rows);
+      ModelStore replica = MakeStore(total_rows);
       replica.RestoreCheckpoint(blob);
       replica.ForEachRow(0, [&](std::int64_t, std::span<const float> row) {
         for (std::size_t c = 1; c < row.size(); ++c) {
@@ -156,27 +145,15 @@ void RunStress(int shards, int writers, int iters, std::int64_t rows_per_writer)
   }
 }
 
-TEST(PsStressTest, StripedStoreSurvivesConcurrentWritersAndReaders) {
-  RunStress(/*shards=*/4, /*writers=*/4, /*iters=*/60, /*rows_per_writer=*/64);
-}
-
-TEST(PsStressTest, ManyShardsManyWriters) {
-  RunStress(/*shards=*/8, /*writers=*/8, /*iters=*/30, /*rows_per_writer=*/32);
-}
-
-TEST(PsStressTest, LegacyEngineSameInvariants) {
-  RunStress(/*shards=*/1, /*writers=*/4, /*iters=*/40, /*rows_per_writer=*/48);
-}
-
 TEST(PsStressTest, ConcurrentBackupSyncAndRollbackKeepRowsUniform) {
-  ModelStore store = MakeStore(/*shards=*/4, /*rows=*/256);
+  ModelStore store = MakeStore(/*rows=*/256);
   store.EnableBackups();
   std::atomic<bool> stop{false};
   std::thread syncer([&] {
     int spin = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       for (PartitionId p = 0; p < store.num_partitions(); ++p) {
-        store.SyncPartitionToBackup(p, /*at_clock=*/spin);
+        store.SyncPartitionToBackup(p);
       }
       ++spin;
       if (spin % 3 == 0) {
@@ -201,7 +178,7 @@ TEST(PsStressTest, ConcurrentBackupSyncAndRollbackKeepRowsUniform) {
     store.ReadRow(0, r, out);
     ExpectUniformRow(out, "post-sync/rollback");
   }
-  ModelStore replica = MakeStore(4, 256);
+  ModelStore replica = MakeStore(256);
   replica.RestoreCheckpoint(store.SerializeCheckpoint());
   EXPECT_EQ(replica.SerializeCheckpoint(), store.SerializeCheckpoint());
 }
