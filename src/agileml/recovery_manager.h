@@ -31,9 +31,7 @@
 
 #include "src/agileml/runtime.h"
 #include "src/common/types.h"
-#include "src/obs/ledger.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/emitter.h"
 #include "src/ps/checkpoint_store.h"
 
 namespace proteus {
@@ -120,9 +118,10 @@ class RecoveryManager {
   std::uint64_t scrubs_run_ = 0;
   std::uint64_t scrub_corruptions_found_ = 0;
 
-  obs::Tracer* tracer_ = nullptr;
-  obs::EventLedger* ledger_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  // Re-resolves the cached metric handles against obs_'s registry.
+  void BindMetrics();
+
+  obs::Emitter obs_;
   obs::Counter* depth_counters_[4] = {nullptr, nullptr, nullptr, nullptr};
   obs::Counter* durable_restores_counter_ = nullptr;
   obs::Counter* corrupt_epochs_counter_ = nullptr;

@@ -50,47 +50,39 @@ AgileMLRuntime::AgileMLRuntime(MLApp* app, AgileMLConfig config,
   std::vector<NodeId> workers(roles_.worker_nodes.begin(), roles_.worker_nodes.end());
   data_.Rebalance(workers);
   RebuildClockTable();
+  BindMetrics();
 }
 
 AgileMLRuntime::~AgileMLRuntime() = default;
 
 void AgileMLRuntime::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  metrics_ = metrics;
-  if (metrics_ == nullptr) {
-    pull_bytes_counter_ = push_bytes_counter_ = backup_sync_bytes_counter_ = nullptr;
-    stage_transition_counter_ = rollback_clocks_counter_ = stall_seconds_counter_ = nullptr;
-    checkpoint_bytes_written_counter_ = checkpoint_bytes_restored_counter_ = nullptr;
-    restore_clocks_lost_counter_ = nullptr;
-    backup_lag_gauge_ = worker_nodes_gauge_ = nullptr;
-    detector_suspicions_counter_ = detector_confirmed_counter_ = nullptr;
-    detector_false_positives_counter_ = nullptr;
-    detector_latency_gauge_ = nullptr;
-    clock_duration_hist_ = nullptr;
-    return;
-  }
-  pull_bytes_counter_ = metrics_->GetCounter("agileml.pull.bytes");
-  push_bytes_counter_ = metrics_->GetCounter("agileml.push.bytes");
-  backup_sync_bytes_counter_ = metrics_->GetCounter("agileml.backup_sync.bytes");
-  stage_transition_counter_ = metrics_->GetCounter("agileml.stage.transitions");
-  rollback_clocks_counter_ = metrics_->GetCounter("agileml.rollback.lost_clocks");
-  stall_seconds_counter_ = metrics_->GetCounter("agileml.stall.microseconds");
-  checkpoint_bytes_written_counter_ = metrics_->GetCounter("agileml.checkpoint.bytes_written");
-  checkpoint_bytes_restored_counter_ = metrics_->GetCounter("agileml.checkpoint.bytes_restored");
-  restore_clocks_lost_counter_ = metrics_->GetCounter("agileml.checkpoint.restore_clocks_lost");
-  backup_lag_gauge_ = metrics_->GetGauge("agileml.backup_sync.lag_clocks");
-  worker_nodes_gauge_ = metrics_->GetGauge("agileml.workers");
-  detector_suspicions_counter_ = metrics_->GetCounter("agileml.detector.suspicions");
-  detector_confirmed_counter_ = metrics_->GetCounter("agileml.detector.confirmed_dead");
-  detector_false_positives_counter_ =
-      metrics_->GetCounter("agileml.detector.false_positives");
-  detector_latency_gauge_ = metrics_->GetGauge("agileml.detector.detection_latency_clocks");
-  clock_duration_hist_ = metrics_->GetHistogram(
+  obs_.SetTracer(tracer);
+  obs_.SetMetrics(metrics);
+  BindMetrics();
+}
+
+void AgileMLRuntime::SetLedger(obs::EventLedger* ledger) { obs_.SetLedger(ledger); }
+
+void AgileMLRuntime::BindMetrics() {
+  pull_bytes_counter_ = obs_.GetCounter("agileml.pull.bytes");
+  push_bytes_counter_ = obs_.GetCounter("agileml.push.bytes");
+  backup_sync_bytes_counter_ = obs_.GetCounter("agileml.backup_sync.bytes");
+  stage_transition_counter_ = obs_.GetCounter("agileml.stage.transitions");
+  rollback_clocks_counter_ = obs_.GetCounter("agileml.rollback.lost_clocks");
+  stall_seconds_counter_ = obs_.GetCounter("agileml.stall.microseconds");
+  checkpoint_bytes_written_counter_ = obs_.GetCounter("agileml.checkpoint.bytes_written");
+  checkpoint_bytes_restored_counter_ = obs_.GetCounter("agileml.checkpoint.bytes_restored");
+  restore_clocks_lost_counter_ = obs_.GetCounter("agileml.checkpoint.restore_clocks_lost");
+  backup_lag_gauge_ = obs_.GetGauge("agileml.backup_sync.lag_clocks");
+  worker_nodes_gauge_ = obs_.GetGauge("agileml.workers");
+  detector_suspicions_counter_ = obs_.GetCounter("agileml.detector.suspicions");
+  detector_confirmed_counter_ = obs_.GetCounter("agileml.detector.confirmed_dead");
+  detector_false_positives_counter_ = obs_.GetCounter("agileml.detector.false_positives");
+  detector_latency_gauge_ = obs_.GetGauge("agileml.detector.detection_latency_clocks");
+  clock_duration_hist_ = obs_.GetHistogram(
       "agileml.clock.duration_seconds",
       {0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 60.0, 120.0, 300.0});
 }
-
-void AgileMLRuntime::SetLedger(obs::EventLedger* ledger) { ledger_ = ledger; }
 
 const NodeInfo& AgileMLRuntime::Node(NodeId id) const {
   for (const auto& node : nodes_) {
@@ -146,25 +138,14 @@ void AgileMLRuntime::TransitionRoles(const std::set<NodeId>& leaving, bool force
   }
   if (roles_.stage != next.stage && !roles_.server.empty()) {
     control_log_.Record(ControlMessage::kStageSwitch);
-    if (stage_transition_counter_ != nullptr) {
-      stage_transition_counter_->Increment();
-    }
-    if (tracer_ != nullptr) {
-      // Zero-duration span: role moves are instantaneous in virtual time;
-      // their cost lands in the next clock's stall (recovery.stall span).
-      tracer_->SpanAt(total_time_, 0.0, "stage.transition", "agileml",
-                      {{"from", std::string(StageName(roles_.stage))},
-                       {"to", std::string(StageName(next.stage))},
-                       {"clock", static_cast<std::int64_t>(clock_)},
-                       {"forced", static_cast<std::int64_t>(forced ? 1 : 0)}});
-    }
-    if (ledger_ != nullptr) {
-      ledger_->Record("stage.transition", "agileml", total_time_,
-                      {{"from", std::string(StageName(roles_.stage))},
-                       {"to", std::string(StageName(next.stage))},
-                       {"clock", static_cast<std::int64_t>(clock_)},
-                       {"forced", static_cast<std::int64_t>(forced ? 1 : 0)}});
-    }
+    stage_transition_counter_->Increment();
+    // Role moves are instantaneous in virtual time; their cost lands in
+    // the next clock's stall (recovery.stall span).
+    obs_.Event("stage.transition", "agileml", total_time_,
+               {{"from", std::string(StageName(roles_.stage))},
+                {"to", std::string(StageName(next.stage))},
+                {"clock", static_cast<std::int64_t>(clock_)},
+                {"forced", static_cast<std::int64_t>(forced ? 1 : 0)}});
   }
   if (had_backups && !will_have_backups) {
     // Stage 2/3 -> 1: end-of-life push — every serving node streams its
@@ -293,15 +274,10 @@ void AgileMLRuntime::AddNodes(const std::vector<NodeInfo>& new_nodes) {
                          static_cast<double>(current_workers + new_nodes.size());
     preparing_[node.id] = static_cast<std::uint64_t>(2.0 * share * config_.bytes_per_item);
   }
-  if (tracer_ != nullptr && !new_nodes.empty()) {
-    tracer_->InstantAt(total_time_, "nodes.add", "agileml",
-                       {{"count", static_cast<std::int64_t>(new_nodes.size())},
-                        {"clock", static_cast<std::int64_t>(clock_)}});
-  }
-  if (ledger_ != nullptr && !new_nodes.empty()) {
-    ledger_->Record("nodes.add", "agileml", total_time_,
-                    {{"count", static_cast<std::int64_t>(new_nodes.size())},
-                     {"clock", static_cast<std::int64_t>(clock_)}});
+  if (!new_nodes.empty()) {
+    obs_.Event("nodes.add", "agileml", total_time_,
+               {{"count", static_cast<std::int64_t>(new_nodes.size())},
+                {"clock", static_cast<std::int64_t>(clock_)}});
   }
 }
 
@@ -345,18 +321,10 @@ void AgileMLRuntime::IncorporateReady() {
     queued_.push_back({kInvalidNode, move.to, bytes, TrafficClass::kBackground, false});
   }
   RebuildClockTable();
-  if (tracer_ != nullptr) {
-    tracer_->InstantAt(total_time_, "nodes.incorporate", "agileml",
-                       {{"count", static_cast<std::int64_t>(newly.size())},
-                        {"stage", std::string(StageName(roles_.stage))},
-                        {"clock", static_cast<std::int64_t>(clock_)}});
-  }
-  if (ledger_ != nullptr) {
-    ledger_->Record("nodes.incorporate", "agileml", total_time_,
-                    {{"count", static_cast<std::int64_t>(newly.size())},
-                     {"stage", std::string(StageName(roles_.stage))},
-                     {"clock", static_cast<std::int64_t>(clock_)}});
-  }
+  obs_.Event("nodes.incorporate", "agileml", total_time_,
+             {{"count", static_cast<std::int64_t>(newly.size())},
+              {"stage", std::string(StageName(roles_.stage))},
+              {"clock", static_cast<std::int64_t>(clock_)}});
   PROTEUS_LOG(Debug) << "incorporated " << newly.size() << " nodes; stage "
                      << StageName(roles_.stage);
 }
@@ -385,16 +353,9 @@ void AgileMLRuntime::Evict(const std::vector<NodeId>& node_ids) {
   if (leaving.empty()) {
     return;
   }
-  if (tracer_ != nullptr) {
-    tracer_->InstantAt(total_time_, "nodes.evict", "agileml",
-                       {{"count", static_cast<std::int64_t>(leaving.size())},
-                        {"clock", static_cast<std::int64_t>(clock_)}});
-  }
-  if (ledger_ != nullptr) {
-    ledger_->Record("nodes.evict", "agileml", total_time_,
-                    {{"count", static_cast<std::int64_t>(leaving.size())},
-                     {"clock", static_cast<std::int64_t>(clock_)}});
-  }
+  obs_.Event("nodes.evict", "agileml", total_time_,
+             {{"count", static_cast<std::int64_t>(leaving.size())},
+              {"clock", static_cast<std::int64_t>(clock_)}});
   TransitionRoles(leaving, /*forced=*/true);
   for (const NodeId id : leaving) {
     data_.DropNode(id);
@@ -460,20 +421,12 @@ int AgileMLRuntime::FailInternal(const std::vector<NodeId>& node_ids, bool durab
   if (revoked_victim && roles_.UsesBackups()) {
     lost_server_state = true;
   }
-  if (tracer_ != nullptr) {
-    tracer_->InstantAt(total_time_, "nodes.fail", "agileml",
-                       {{"count", static_cast<std::int64_t>(dead.size())},
-                        {"clock", static_cast<std::int64_t>(clock_)}});
-  }
-  obs::EventId fail_event = obs::kNoEvent;
-  if (ledger_ != nullptr) {
-    fail_event = ledger_->Record(
-        "nodes.fail", "agileml", total_time_,
-        {{"count", static_cast<std::int64_t>(dead.size())},
-         {"clock", static_cast<std::int64_t>(clock_)},
-         {"lost_server_state", static_cast<std::int64_t>(lost_server_state ? 1 : 0)},
-         {"lost_reliable_ps", static_cast<std::int64_t>(lost_reliable_ps ? 1 : 0)}});
-  }
+  const obs::EventId fail_event = obs_.Event(
+      "nodes.fail", "agileml", total_time_,
+      {{"count", static_cast<std::int64_t>(dead.size())},
+       {"clock", static_cast<std::int64_t>(clock_)},
+       {"lost_server_state", static_cast<std::int64_t>(lost_server_state ? 1 : 0)},
+       {"lost_reliable_ps", static_cast<std::int64_t>(lost_reliable_ps ? 1 : 0)}});
 
   int lost_clocks = 0;
   [[maybe_unused]] const std::int64_t rollback_notices_before =
@@ -503,26 +456,14 @@ int AgileMLRuntime::FailInternal(const std::vector<NodeId>& node_ids, bool durab
       control_log_.Record(ControlMessage::kRollbackNotice,
                           static_cast<std::int64_t>(roles_.worker_nodes.size()));
     }
-    if (rollback_clocks_counter_ != nullptr) {
-      rollback_clocks_counter_->Add(static_cast<std::uint64_t>(lost_clocks));
-    }
-    if (tracer_ != nullptr) {
-      tracer_->SpanAt(total_time_, 0.0, "rollback", "agileml",
-                      {{"kind", std::string("backup")},
-                       {"lost_clocks", static_cast<std::int64_t>(lost_clocks)},
-                       {"to_clock", static_cast<std::int64_t>(clock_)},
-                       {"failed_nodes", static_cast<std::int64_t>(dead.size())}});
-    }
-    if (ledger_ != nullptr) {
-      // Causal parent is the failure that forced the rollback, not the
-      // ambient region — analysis can tell fault-driven rollbacks apart.
-      ledger_->RecordWithParent(
-          "rollback", "agileml", total_time_, fail_event,
-          {{"kind", std::string("backup")},
-           {"lost_clocks", static_cast<std::int64_t>(lost_clocks)},
-           {"to_clock", static_cast<std::int64_t>(clock_)},
-           {"failed_nodes", static_cast<std::int64_t>(dead.size())}});
-    }
+    rollback_clocks_counter_->Add(static_cast<std::uint64_t>(lost_clocks));
+    // Causal parent is the failure that forced the rollback, not the
+    // ambient region — analysis can tell fault-driven rollbacks apart.
+    obs_.EventWithParent("rollback", "agileml", total_time_, fail_event,
+                         {{"kind", std::string("backup")},
+                          {"lost_clocks", static_cast<std::int64_t>(lost_clocks)},
+                          {"to_clock", static_cast<std::int64_t>(clock_)},
+                          {"failed_nodes", static_cast<std::int64_t>(dead.size())}});
   } else if (lost_reliable_ps) {
     // A reliable ParamServ died in stage 1: only a checkpoint can save
     // the solution state.
@@ -565,11 +506,9 @@ void AgileMLRuntime::SetNodeRevoked(NodeId id) {
   PROTEUS_CHECK(IsReady(id)) << "revoking unknown node " << id;
   revoked_.insert(id);
   silenced_.insert(id);  // Heartbeats stop the same instant.
-  if (ledger_ != nullptr) {
-    ledger_->Record("nodes.revoked", "agileml", total_time_,
-                    {{"node", static_cast<std::int64_t>(id)},
-                     {"clock", static_cast<std::int64_t>(clock_)}});
-  }
+  obs_.Event("nodes.revoked", "agileml", total_time_,
+             {{"node", static_cast<std::int64_t>(id)},
+              {"clock", static_cast<std::int64_t>(clock_)}});
 }
 
 TierGuardReport AgileMLRuntime::AuditTierGuard() const {
@@ -581,15 +520,11 @@ void AgileMLRuntime::CheckpointReliable() {
   std::vector<std::uint8_t> blob = model_.SerializeCheckpoint();
   const std::uint64_t checkpoint_bytes = blob.size();
   checkpoint_bytes_written_total_ += checkpoint_bytes;
-  if (checkpoint_bytes_written_counter_ != nullptr) {
-    checkpoint_bytes_written_counter_->Add(checkpoint_bytes);
-  }
+  checkpoint_bytes_written_counter_->Add(checkpoint_bytes);
   checkpoint_ = Checkpoint{std::move(blob), clock_};
-  if (ledger_ != nullptr) {
-    ledger_->Record("checkpoint", "agileml", total_time_,
-                    {{"clock", static_cast<std::int64_t>(clock_)},
-                     {"bytes", static_cast<std::int64_t>(checkpoint_bytes)}});
-  }
+  obs_.Event("checkpoint", "agileml", total_time_,
+             {{"clock", static_cast<std::int64_t>(clock_)},
+              {"bytes", static_cast<std::int64_t>(checkpoint_bytes)}});
   // Charge the checkpoint write: each reliable node holding solution
   // state streams its share to durable storage in the background. In
   // stage 3 reliable nodes have no foreground role, so this is free —
@@ -621,12 +556,8 @@ int AgileMLRuntime::RestoreFromCheckpoint() {
   detector_.RewindTo(clock_);
   checkpoint_bytes_restored_total_ += restored_bytes;
   restore_clocks_lost_total_ += lost;
-  if (checkpoint_bytes_restored_counter_ != nullptr) {
-    checkpoint_bytes_restored_counter_->Add(restored_bytes);
-  }
-  if (restore_clocks_lost_counter_ != nullptr) {
-    restore_clocks_lost_counter_->Add(static_cast<std::uint64_t>(lost));
-  }
+  checkpoint_bytes_restored_counter_->Add(restored_bytes);
+  restore_clocks_lost_counter_->Add(static_cast<std::uint64_t>(lost));
   if (roles_.UsesBackups()) {
     // Re-snapshot: backups were also stale. The snapshot doubles as a
     // complete sync at the restored clock.
@@ -644,22 +575,12 @@ int AgileMLRuntime::RestoreFromCheckpoint() {
     control_log_.Record(ControlMessage::kRollbackNotice,
                         static_cast<std::int64_t>(roles_.worker_nodes.size()));
   }
-  if (rollback_clocks_counter_ != nullptr) {
-    rollback_clocks_counter_->Add(static_cast<std::uint64_t>(lost));
-  }
-  if (tracer_ != nullptr) {
-    tracer_->SpanAt(total_time_, 0.0, "rollback", "agileml",
-                    {{"kind", std::string("checkpoint")},
-                     {"lost_clocks", static_cast<std::int64_t>(lost)},
-                     {"to_clock", static_cast<std::int64_t>(clock_)}});
-  }
-  if (ledger_ != nullptr) {
-    ledger_->Record("rollback", "agileml", total_time_,
-                    {{"kind", std::string("checkpoint")},
-                     {"lost_clocks", static_cast<std::int64_t>(lost)},
-                     {"to_clock", static_cast<std::int64_t>(clock_)},
-                     {"bytes_restored", static_cast<std::int64_t>(restored_bytes)}});
-  }
+  rollback_clocks_counter_->Add(static_cast<std::uint64_t>(lost));
+  obs_.Event("rollback", "agileml", total_time_,
+             {{"kind", std::string("checkpoint")},
+              {"lost_clocks", static_cast<std::int64_t>(lost)},
+              {"to_clock", static_cast<std::int64_t>(clock_)},
+              {"bytes_restored", static_cast<std::int64_t>(restored_bytes)}});
   // Worker clocks must follow the runtime clock backwards, or the next
   // RunClock would violate ClockTable's monotonic-advance invariant.
   // (Fail() rebuilds again after membership settles; that is idempotent.)
@@ -722,9 +643,7 @@ void AgileMLRuntime::SyncAllToBackups(TrafficClass cls) {
       fabric_.RecordTransfer(src, dst, bytes, cls);
     }
   }
-  if (backup_sync_bytes_counter_ != nullptr) {
-    backup_sync_bytes_counter_->Add(total_bytes);
-  }
+  backup_sync_bytes_counter_->Add(total_bytes);
 }
 
 IterationReport AgileMLRuntime::RunClock() {
@@ -732,12 +651,9 @@ IterationReport AgileMLRuntime::RunClock() {
   // Open the clock's causal region first: everything recorded until the
   // matching Close (comm accounting, backup syncs, detector verdicts,
   // detector-driven failure handling) is a child of this clock.
-  obs::EventId clock_event = obs::kNoEvent;
-  if (ledger_ != nullptr) {
-    clock_event = ledger_->Open("clock", "agileml", clock_start,
-                                {{"clock", static_cast<std::int64_t>(clock_)}});
-    last_clock_event_ = clock_event;
-  }
+  const obs::Emitter::Region clock_region =
+      obs_.Open("clock", "agileml", clock_start, {{"clock", static_cast<std::int64_t>(clock_)}});
+  last_clock_event_ = clock_region.id;
   fabric_.BeginRound();
   const SimDuration stall = ChargeQueuedTransfers();
 
@@ -816,18 +732,10 @@ IterationReport AgileMLRuntime::RunClock() {
                              TrafficClass::kForeground);
     }
   }
-  if (pull_bytes_counter_ != nullptr) {
-    pull_bytes_counter_->Add(pull_bytes);
-  }
-  if (push_bytes_counter_ != nullptr) {
-    push_bytes_counter_->Add(push_bytes);
-  }
-  if (ledger_ != nullptr) {
-    ledger_->Record("pull", "agileml", clock_start,
-                    {{"bytes", static_cast<std::int64_t>(pull_bytes)}});
-    ledger_->Record("push", "agileml", clock_start,
-                    {{"bytes", static_cast<std::int64_t>(push_bytes)}});
-  }
+  pull_bytes_counter_->Add(pull_bytes);
+  push_bytes_counter_->Add(push_bytes);
+  obs_.Event("pull", "agileml", clock_start, {{"bytes", static_cast<std::int64_t>(pull_bytes)}});
+  obs_.Event("push", "agileml", clock_start, {{"bytes", static_cast<std::int64_t>(push_bytes)}});
 
   // --- Active -> Backup streaming (stages 2/3) ---
   // Suppressed while any revoked node is unconfirmed: a zero-warning
@@ -838,10 +746,8 @@ IterationReport AgileMLRuntime::RunClock() {
       (clock_ + 1) % config_.backup_sync_every == 0) {
     SyncAllToBackups(TrafficClass::kBackground);
     last_sync_clock_ = clock_ + 1;
-    if (ledger_ != nullptr) {
-      ledger_->Record("backup.sync", "agileml", clock_start,
-                      {{"synced_clock", static_cast<std::int64_t>(clock_ + 1)}});
-    }
+    obs_.Event("backup.sync", "agileml", clock_start,
+               {{"synced_clock", static_cast<std::int64_t>(clock_ + 1)}});
   }
 
   // --- Virtual timing ---
@@ -920,40 +826,21 @@ IterationReport AgileMLRuntime::RunClock() {
   total_time_ += report.duration;
   last_duration_ = report.duration;
 
-  if (clock_duration_hist_ != nullptr) {
-    clock_duration_hist_->Observe(report.duration);
-  }
-  if (stall_seconds_counter_ != nullptr && stall > 0.0) {
+  clock_duration_hist_->Observe(report.duration);
+  if (stall > 0.0) {
     stall_seconds_counter_->Add(static_cast<std::uint64_t>(stall * 1e6));
   }
   const double backup_lag_clocks =
       roles_.UsesBackups() ? static_cast<double>(clock_ - last_sync_clock_) : 0.0;
-  if (backup_lag_gauge_ != nullptr) {
-    backup_lag_gauge_->Set(backup_lag_clocks);
-  }
-  if (worker_nodes_gauge_ != nullptr) {
-    worker_nodes_gauge_->Set(static_cast<double>(report.worker_nodes));
-  }
-  if (tracer_ != nullptr) {
-    tracer_->CounterAt(total_time_, "backup_lag_clocks", "agileml", backup_lag_clocks);
-    tracer_->CounterAt(total_time_, "worker_nodes", "agileml",
-                       static_cast<double>(report.worker_nodes));
-  }
-  if (tracer_ != nullptr) {
-    if (stall > 0.0) {
-      // Forced (eviction/failure-handling) transfers serialized ahead of
-      // this clock: the per-clock share of recovery time.
-      tracer_->SpanAt(clock_start, stall, "recovery.stall", "agileml",
-                      {{"clock", static_cast<std::int64_t>(clock_)}});
-    }
-    tracer_->SpanAt(clock_start, report.duration, "clock", "agileml",
-                    {{"clock", static_cast<std::int64_t>(clock_)},
-                     {"stage", std::string(StageName(report.stage))},
-                     {"workers", static_cast<std::int64_t>(report.worker_nodes)},
-                     {"bytes", static_cast<std::int64_t>(report.total_bytes)},
-                     {"pull_bytes", static_cast<std::int64_t>(pull_bytes)},
-                     {"push_bytes", static_cast<std::int64_t>(push_bytes)},
-                     {"stall", report.stall}});
+  backup_lag_gauge_->Set(backup_lag_clocks);
+  worker_nodes_gauge_->Set(static_cast<double>(report.worker_nodes));
+  obs_.Sample(total_time_, "backup_lag_clocks", "agileml", backup_lag_clocks);
+  obs_.Sample(total_time_, "worker_nodes", "agileml", static_cast<double>(report.worker_nodes));
+  if (stall > 0.0) {
+    // Forced (eviction/failure-handling) transfers serialized ahead of
+    // this clock: the per-clock share of recovery time.
+    obs_.Span(clock_start, stall, "recovery.stall", "agileml",
+              {{"clock", static_cast<std::int64_t>(clock_)}});
   }
 
   // --- Heartbeat / lease failure detection ---
@@ -969,48 +856,29 @@ IterationReport AgileMLRuntime::RunClock() {
       }
       if (detector_.Heartbeat(id, clock_)) {
         // The node was under suspicion and came back: a false positive.
-        if (detector_false_positives_counter_ != nullptr) {
-          detector_false_positives_counter_->Increment();
-        }
-        if (tracer_ != nullptr) {
-          tracer_->InstantAt(total_time_, "detector.recovered", "agileml",
-                             {{"node", static_cast<std::int64_t>(id)},
-                              {"clock", static_cast<std::int64_t>(clock_)}});
-        }
-        if (ledger_ != nullptr) {
-          ledger_->Record("detector.recovered", "agileml", total_time_,
-                          {{"node", static_cast<std::int64_t>(id)},
-                           {"clock", static_cast<std::int64_t>(clock_)}});
-        }
+        detector_false_positives_counter_->Increment();
+        obs_.Event("detector.recovered", "agileml", total_time_,
+                   {{"node", static_cast<std::int64_t>(id)},
+                    {"clock", static_cast<std::int64_t>(clock_)}});
       }
       ++beats;
     }
     if (beats > 0) {
       control_log_.Record(ControlMessage::kHeartbeat, beats);
-      if (ledger_ != nullptr) {
-        ledger_->Record("heartbeat", "agileml", total_time_, {{"beats", beats}});
-      }
+      obs_.Event("heartbeat", "agileml", total_time_, {{"beats", beats}});
     }
     const FailureDetectorReport fd = detector_.Poll(clock_);
+    // The counter track steps through this runtime's own running count,
+    // one sample per new suspicion.
+    std::uint64_t suspicions = detector_.suspicions() - fd.newly_suspected.size();
     for (const NodeId id : fd.newly_suspected) {
       control_log_.Record(ControlMessage::kSuspicionNotice);
-      if (detector_suspicions_counter_ != nullptr) {
-        detector_suspicions_counter_->Increment();
-        if (tracer_ != nullptr) {
-          tracer_->CounterAt(total_time_, "detector_suspicions", "agileml",
-                             static_cast<double>(detector_suspicions_counter_->value()));
-        }
-      }
-      if (tracer_ != nullptr) {
-        tracer_->InstantAt(total_time_, "detector.suspected", "agileml",
-                           {{"node", static_cast<std::int64_t>(id)},
-                            {"clock", static_cast<std::int64_t>(clock_)}});
-      }
-      if (ledger_ != nullptr) {
-        ledger_->Record("detector.suspected", "agileml", total_time_,
-                        {{"node", static_cast<std::int64_t>(id)},
-                         {"clock", static_cast<std::int64_t>(clock_)}});
-      }
+      detector_suspicions_counter_->Increment();
+      obs_.Sample(total_time_, "detector_suspicions", "agileml",
+                  static_cast<double>(++suspicions));
+      obs_.Event("detector.suspected", "agileml", total_time_,
+                 {{"node", static_cast<std::int64_t>(id)},
+                  {"clock", static_cast<std::int64_t>(clock_)}});
     }
     if (!fd.confirmed_dead.empty()) {
       // The latency gauge reports the batch maximum: when many nodes are
@@ -1022,47 +890,33 @@ IterationReport AgileMLRuntime::RunClock() {
         report.confirmed_dead.push_back(death.node);
         silenced_.erase(death.node);
         batch_latency = std::max(batch_latency, static_cast<double>(death.missed_clocks));
-        if (detector_confirmed_counter_ != nullptr) {
-          detector_confirmed_counter_->Increment();
-        }
-        if (tracer_ != nullptr) {
-          tracer_->InstantAt(total_time_, "detector.confirmed_dead", "agileml",
-                             {{"node", static_cast<std::int64_t>(death.node)},
-                              {"missed_clocks", death.missed_clocks},
-                              {"clock", static_cast<std::int64_t>(clock_)}});
-        }
-        if (ledger_ != nullptr) {
-          ledger_->Record("detector.confirmed_dead", "agileml", total_time_,
-                          {{"node", static_cast<std::int64_t>(death.node)},
-                           {"missed_clocks", death.missed_clocks},
-                           {"clock", static_cast<std::int64_t>(clock_)}});
-        }
+        detector_confirmed_counter_->Increment();
+        obs_.Event("detector.confirmed_dead", "agileml", total_time_,
+                   {{"node", static_cast<std::int64_t>(death.node)},
+                    {"missed_clocks", death.missed_clocks},
+                    {"clock", static_cast<std::int64_t>(clock_)}});
       }
-      if (detector_latency_gauge_ != nullptr) {
-        detector_latency_gauge_->Set(batch_latency);
-      }
+      detector_latency_gauge_->Set(batch_latency);
       Fail(report.confirmed_dead);
     }
   }
 
   IncorporateReady();
-  if (ledger_ != nullptr && clock_event != obs::kNoEvent) {
-    ledger_->Close(clock_event, report.duration,
-                   {{"stage", std::string(StageName(report.stage))},
-                    {"workers", static_cast<std::int64_t>(report.worker_nodes)},
-                    {"reliable_nodes", ready_reliable},
-                    {"transient_nodes", ready_transient},
-                    {"serverless_nodes", ready_serverless},
-                    {"t_compute", report.critical_compute},
-                    {"t_transport", report.critical_transport},
-                    {"stall", report.stall},
-                    {"barrier", config_.barrier_overhead},
-                    {"gate", std::string(gated_by_compute ? "compute" : "transport")},
-                    {"bottleneck_node", static_cast<std::int64_t>(report.bottleneck_node)},
-                    {"pull_bytes", static_cast<std::int64_t>(pull_bytes)},
-                    {"push_bytes", static_cast<std::int64_t>(push_bytes)},
-                    {"total_bytes", static_cast<std::int64_t>(report.total_bytes)}});
-  }
+  obs_.Close(clock_region, report.duration,
+             {{"stage", std::string(StageName(report.stage))},
+              {"workers", static_cast<std::int64_t>(report.worker_nodes)},
+              {"reliable_nodes", ready_reliable},
+              {"transient_nodes", ready_transient},
+              {"serverless_nodes", ready_serverless},
+              {"t_compute", report.critical_compute},
+              {"t_transport", report.critical_transport},
+              {"stall", report.stall},
+              {"barrier", config_.barrier_overhead},
+              {"gate", std::string(gated_by_compute ? "compute" : "transport")},
+              {"bottleneck_node", static_cast<std::int64_t>(report.bottleneck_node)},
+              {"pull_bytes", static_cast<std::int64_t>(pull_bytes)},
+              {"push_bytes", static_cast<std::int64_t>(push_bytes)},
+              {"total_bytes", static_cast<std::int64_t>(report.total_bytes)}});
   return report;
 }
 

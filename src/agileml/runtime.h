@@ -34,9 +34,7 @@
 #include "src/common/thread_pool.h"
 #include "src/common/types.h"
 #include "src/net/fabric.h"
-#include "src/obs/ledger.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/emitter.h"
 #include "src/ps/clock_table.h"
 #include "src/ps/model.h"
 
@@ -340,12 +338,13 @@ class AgileMLRuntime {
   int restore_clocks_lost_total_ = 0;
   int restore_clocks_credited_total_ = 0;
 
-  // Observability sinks (optional) and cached metric handles. All
-  // recording happens on the serial control path, never inside the
-  // worker thread pool.
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::EventLedger* ledger_ = nullptr;
+  // Re-resolves the cached metric handles against obs_'s registry.
+  void BindMetrics();
+
+  // Observability, and metric handles cached from its registry (never
+  // null). All recording happens on the serial control path, never
+  // inside the worker thread pool.
+  obs::Emitter obs_;
   obs::EventId last_clock_event_ = obs::kNoEvent;
   obs::Counter* pull_bytes_counter_ = nullptr;
   obs::Counter* push_bytes_counter_ = nullptr;

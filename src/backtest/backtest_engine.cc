@@ -51,8 +51,8 @@ BacktestEngine::BacktestEngine(const InstanceTypeCatalog* catalog, const TraceSt
 }
 
 void BacktestEngine::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  metrics_ = metrics;
+  obs_.SetTracer(tracer);
+  obs_.SetMetrics(metrics);
 }
 
 void BacktestEngine::RegisterPolicy(PolicyFactory factory, std::string label) {
@@ -235,38 +235,31 @@ BacktestReport BacktestEngine::Run(const BacktestConfig& config) const {
                    });
 
   // --- Observability (deterministic: after the join, in cell order) ---
-  if (metrics_ != nullptr) {
-    for (std::size_t i = 0; i < report.cells.size(); ++i) {
-      const BacktestCellResult& cell = report.cells[i];
-      const obs::Labels labels = {{"policy", cell.policy}};
-      metrics_->GetCounter("backtest.cells", labels)->Increment();
-      if (!cell.completed) {
-        metrics_->GetCounter("backtest.cells.incomplete", labels)->Increment();
-      }
-      metrics_
-          ->GetHistogram("backtest.cell.cost",
-                         {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0}, labels)
-          ->Observe(cell.cost);
+  for (const BacktestCellResult& cell : report.cells) {
+    const obs::Labels labels = {{"policy", cell.policy}};
+    obs_.GetCounter("backtest.cells", labels)->Increment();
+    if (!cell.completed) {
+      obs_.GetCounter("backtest.cells.incomplete", labels)->Increment();
     }
-    for (const BacktestPolicyAggregate& agg : report.aggregates) {
-      const obs::Labels labels = {{"policy", agg.policy}};
-      metrics_->GetGauge("backtest.policy.mean_cost", labels)->Set(agg.mean_cost);
-      metrics_->GetGauge("backtest.policy.mean_cost_per_work", labels)
-          ->Set(agg.mean_cost_per_work);
-      metrics_->GetGauge("backtest.policy.free_fraction", labels)->Set(agg.mean_free_fraction);
-      metrics_->GetGauge("backtest.policy.machine_hours", labels)->Set(agg.total_machine_hours);
-    }
+    obs_.GetHistogram("backtest.cell.cost",
+                      {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0}, labels)
+        ->Observe(cell.cost);
   }
-  if (tracer_ != nullptr) {
-    for (const BacktestCellResult& cell : report.cells) {
-      tracer_->InstantAt(cell.start, "cell", "backtest",
-                         {{"policy", cell.policy},
-                          {"window", static_cast<std::int64_t>(cell.window)},
-                          {"type", cell.instance_type},
-                          {"cost", cell.cost},
-                          {"E_A", cell.cost_per_work},
-                          {"completed", static_cast<std::int64_t>(cell.completed ? 1 : 0)}});
-    }
+  for (const BacktestPolicyAggregate& agg : report.aggregates) {
+    const obs::Labels labels = {{"policy", agg.policy}};
+    obs_.GetGauge("backtest.policy.mean_cost", labels)->Set(agg.mean_cost);
+    obs_.GetGauge("backtest.policy.mean_cost_per_work", labels)->Set(agg.mean_cost_per_work);
+    obs_.GetGauge("backtest.policy.free_fraction", labels)->Set(agg.mean_free_fraction);
+    obs_.GetGauge("backtest.policy.machine_hours", labels)->Set(agg.total_machine_hours);
+  }
+  for (const BacktestCellResult& cell : report.cells) {
+    obs_.Instant(cell.start, "cell", "backtest",
+                 {{"policy", cell.policy},
+                  {"window", static_cast<std::int64_t>(cell.window)},
+                  {"type", cell.instance_type},
+                  {"cost", cell.cost},
+                  {"E_A", cell.cost_per_work},
+                  {"completed", static_cast<std::int64_t>(cell.completed ? 1 : 0)}});
   }
   return report;
 }

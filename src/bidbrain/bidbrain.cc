@@ -14,20 +14,20 @@ BidBrain::BidBrain(const InstanceTypeCatalog* catalog, const TraceStore* prices,
   PROTEUS_CHECK(catalog_ != nullptr);
   PROTEUS_CHECK(prices_ != nullptr);
   PROTEUS_CHECK(estimator_ != nullptr);
+  BindMetrics();
 }
 
 void BidBrain::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  decisions_counter_ = nullptr;
-  acquire_counter_ = nullptr;
-  terminate_counter_ = nullptr;
-  cost_per_work_gauge_ = nullptr;
-  if (metrics != nullptr) {
-    decisions_counter_ = metrics->GetCounter("bidbrain.decisions");
-    acquire_counter_ = metrics->GetCounter("bidbrain.actions", {{"kind", "acquire"}});
-    terminate_counter_ = metrics->GetCounter("bidbrain.actions", {{"kind", "terminate"}});
-    cost_per_work_gauge_ = metrics->GetGauge("bidbrain.cost_per_work");
-  }
+  obs_.SetTracer(tracer);
+  obs_.SetMetrics(metrics);
+  BindMetrics();
+}
+
+void BidBrain::BindMetrics() {
+  decisions_counter_ = obs_.GetCounter("bidbrain.decisions");
+  acquire_counter_ = obs_.GetCounter("bidbrain.actions", {{"kind", "acquire"}});
+  terminate_counter_ = obs_.GetCounter("bidbrain.actions", {{"kind", "terminate"}});
+  cost_per_work_gauge_ = obs_.GetGauge("bidbrain.cost_per_work");
 }
 
 AllocationPlan BidBrain::PlanFor(SimTime now, const LiveAllocation& alloc) const {
@@ -185,32 +185,25 @@ std::vector<BidAction> BidBrain::Decide(SimTime now,
       ++terminations;
     }
   }
-  if (decisions_counter_ != nullptr) {
-    decisions_counter_->Increment();
-  }
-  if (acquire_counter_ != nullptr && chosen.has_value()) {
+  decisions_counter_->Increment();
+  if (chosen.has_value()) {
     acquire_counter_->Increment();
   }
-  if (terminate_counter_ != nullptr && terminations > 0) {
+  if (terminations > 0) {
     terminate_counter_->Add(static_cast<std::uint64_t>(terminations));
   }
-  if (cost_per_work_gauge_ != nullptr) {
-    cost_per_work_gauge_->Set(current_cpw);
+  cost_per_work_gauge_->Set(current_cpw);
+  obs::TraceArgs args = {{"E_A", current_cpw},
+                         {"spot_instances", static_cast<std::int64_t>(spot_count)},
+                         {"terminations", static_cast<std::int64_t>(terminations)}};
+  if (chosen.has_value()) {
+    args.emplace_back("market", chosen->market.zone + "/" + chosen->market.instance_type);
+    args.emplace_back("bid", chosen->bid);
+    args.emplace_back("delta", chosen_delta);
+    args.emplace_back("beta", chosen_plan->beta);
+    args.emplace_back("count", static_cast<std::int64_t>(chosen->count));
   }
-  if (tracer_ != nullptr) {
-    obs::TraceArgs args = {{"E_A", current_cpw},
-                           {"spot_instances", static_cast<std::int64_t>(spot_count)},
-                           {"terminations", static_cast<std::int64_t>(terminations)}};
-    if (chosen.has_value()) {
-      args.emplace_back("market",
-                        chosen->market.zone + "/" + chosen->market.instance_type);
-      args.emplace_back("bid", chosen->bid);
-      args.emplace_back("delta", chosen_delta);
-      args.emplace_back("beta", chosen_plan->beta);
-      args.emplace_back("count", static_cast<std::int64_t>(chosen->count));
-    }
-    tracer_->InstantAt(now, "decision", "bidbrain", args);
-  }
+  obs_.Instant(now, "decision", "bidbrain", std::move(args));
   return actions;
 }
 

@@ -23,8 +23,7 @@
 #include "src/bidbrain/eviction_estimator.h"
 #include "src/market/instance_type.h"
 #include "src/market/trace_store.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/emitter.h"
 
 namespace proteus {
 
@@ -81,9 +80,12 @@ class BidBrain : public AcquisitionPolicy {
   const EvictionModel* estimator_;
   BidBrainConfig config_;
 
-  // Observability sinks; Decide() is logically const, so recording into
+  // Re-resolves the cached metric handles against obs_'s registry.
+  void BindMetrics();
+
+  // Observability; Decide() is logically const, so recording into
   // external sinks does not touch BidBrain state.
-  obs::Tracer* tracer_ = nullptr;
+  obs::Emitter obs_;
   obs::Counter* decisions_counter_ = nullptr;
   obs::Counter* acquire_counter_ = nullptr;
   obs::Counter* terminate_counter_ = nullptr;

@@ -14,40 +14,30 @@ ConsistencyAuditor::ConsistencyAuditor(const AgileMLRuntime* runtime)
 }
 
 void ConsistencyAuditor::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  metrics_ = metrics;
+  obs_.SetTracer(tracer);
+  obs_.SetMetrics(metrics);
 }
 
 void ConsistencyAuditor::SetLedger(obs::EventLedger* ledger, obs::FlightRecorder* recorder) {
-  ledger_ = ledger;
+  obs_.SetLedger(ledger);
   recorder_ = recorder;
 }
 
 void ConsistencyAuditor::Add(const std::string& invariant, const std::string& detail) {
   violations_.push_back({invariant, detail, runtime_->clock()});
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("chaos.audit.violations", {{"invariant", invariant}})->Increment();
-  }
-  if (tracer_ != nullptr) {
-    tracer_->InstantAt(runtime_->total_time(), "audit.violation", "chaos",
-                       {{"invariant", invariant},
-                        {"detail", detail},
-                        {"clock", static_cast<std::int64_t>(runtime_->clock())}});
-  }
-  if (ledger_ != nullptr) {
-    // Parent to the clock whose boundary exposed the invariant break —
-    // the causal chain then leads from the violation to the offending
-    // clock (and through it to the fault/rollback that set it up).
-    const obs::EventId violation = ledger_->RecordWithParent(
-        "audit.violation", "chaos", runtime_->total_time(),
-        runtime_->last_clock_event(),
-        {{"invariant", invariant},
-         {"detail", detail},
-         {"clock", static_cast<std::int64_t>(runtime_->clock())}});
-    if (recorder_ != nullptr && !dumped_) {
-      dumped_ = true;
-      recorder_->Dump("audit.violation: " + invariant + ": " + detail, violation);
-    }
+  obs_.GetCounter("chaos.audit.violations", {{"invariant", invariant}})->Increment();
+  // Parent to the clock whose boundary exposed the invariant break —
+  // the causal chain then leads from the violation to the offending
+  // clock (and through it to the fault/rollback that set it up).
+  const obs::EventId violation =
+      obs_.EventWithParent("audit.violation", "chaos", runtime_->total_time(),
+                           runtime_->last_clock_event(),
+                           {{"invariant", invariant},
+                            {"detail", detail},
+                            {"clock", static_cast<std::int64_t>(runtime_->clock())}});
+  if (recorder_ != nullptr && violation != obs::kNoEvent && !dumped_) {
+    dumped_ = true;
+    recorder_->Dump("audit.violation: " + invariant + ": " + detail, violation);
   }
 }
 

@@ -43,10 +43,8 @@
 #include <vector>
 
 #include "src/agileml/runtime.h"
+#include "src/obs/emitter.h"
 #include "src/obs/flight_recorder.h"
-#include "src/obs/ledger.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/rpc/channel.h"
 
 namespace proteus {
@@ -101,9 +99,7 @@ class ConsistencyAuditor {
   void CheckTierGuard();
 
   const AgileMLRuntime* runtime_;
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::EventLedger* ledger_ = nullptr;
+  obs::Emitter obs_;
   obs::FlightRecorder* recorder_ = nullptr;
   bool dumped_ = false;  // One auto-dump per run: the first violation.
   std::vector<AuditViolation> violations_;

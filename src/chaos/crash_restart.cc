@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "src/chaos/scenario.h"
 #include "src/chaos/state_digest.h"
 #include "src/common/logging.h"
 
@@ -14,25 +15,13 @@ namespace proteus {
 
 namespace {
 
-std::vector<NodeInfo> InitialNodes(const CrashRestartConfig& config) {
-  std::vector<NodeInfo> nodes;
-  NodeId id = 0;
-  for (int i = 0; i < config.initial_reliable; ++i) {
-    nodes.push_back({id++, Tier::kReliable, 8, kInvalidAllocation});
-  }
-  for (int a = 0; a < config.initial_transient_allocations; ++a) {
-    for (int i = 0; i < config.nodes_per_allocation; ++i) {
-      nodes.push_back({id++, Tier::kTransient, 8, static_cast<AllocationId>(a)});
-    }
-  }
-  return nodes;
-}
-
 class CrashRestartDriver {
  public:
   CrashRestartDriver(MLApp* app, const CrashRestartConfig& config,
                      obs::Tracer* tracer, obs::MetricsRegistry* metrics)
-      : app_(app), config_(config), tracer_(tracer), metrics_(metrics) {
+      : app_(app), config_(config) {
+    obs_.SetTracer(tracer);
+    obs_.SetMetrics(metrics);
     PROTEUS_CHECK(app_ != nullptr);
     PROTEUS_CHECK_GE(config_.initial_reliable, 2)
         << "crash scenarios need a reliable survivor";
@@ -40,8 +29,7 @@ class CrashRestartDriver {
     PROTEUS_CHECK_GE(config_.crash_at, 1);
     PROTEUS_CHECK_LT(config_.crash_at, config_.horizon);
 
-    runtime_ = std::make_unique<AgileMLRuntime>(app_, config_.agileml,
-                                                InitialNodes(config_));
+    runtime_ = std::make_unique<AgileMLRuntime>(app_, config_.agileml, StartNodes());
     auditor_ = std::make_unique<ConsistencyAuditor>(runtime_.get());
     store_ = std::make_unique<CheckpointStore>(
         &device_, CheckpointStoreConfig{config_.durable_retain});
@@ -80,13 +68,15 @@ class CrashRestartDriver {
   }
 
  private:
+  std::vector<NodeInfo> StartNodes() const {
+    return InitialNodes(config_.initial_reliable, config_.initial_transient_allocations,
+                        config_.nodes_per_allocation);
+  }
+
   void AttachObservability() {
-    if (tracer_ == nullptr && metrics_ == nullptr) {
-      return;
-    }
-    runtime_->SetObservability(tracer_, metrics_);
-    auditor_->SetObservability(tracer_, metrics_);
-    recovery_->SetObservability(tracer_, metrics_);
+    runtime_->SetObservability(obs_.tracer(), obs_.metrics());
+    auditor_->SetObservability(obs_.tracer(), obs_.metrics());
+    recovery_->SetObservability(obs_.tracer(), obs_.metrics());
   }
 
   // Commits are keyed by epoch; remember the state digest at each commit
@@ -215,8 +205,7 @@ class CrashRestartDriver {
     const ScrubReport scrub = store_->Scrub();
     result_.scrub_corruptions_found = scrub.corrupt_objects.size();
 
-    runtime_ = std::make_unique<AgileMLRuntime>(app_, config_.agileml,
-                                                InitialNodes(config_));
+    runtime_ = std::make_unique<AgileMLRuntime>(app_, config_.agileml, StartNodes());
     auditor_ = std::make_unique<ConsistencyAuditor>(runtime_.get());
     recovery_ = std::make_unique<RecoveryManager>(
         runtime_.get(), store_.get(),
@@ -235,8 +224,8 @@ class CrashRestartDriver {
 
   MLApp* app_;
   CrashRestartConfig config_;
-  obs::Tracer* tracer_;
-  obs::MetricsRegistry* metrics_;
+  // The sinks the driver re-attaches to every runtime it builds.
+  obs::Emitter obs_;
 
   MemDurableDevice device_;
   std::unique_ptr<AgileMLRuntime> runtime_;

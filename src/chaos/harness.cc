@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "src/chaos/scenario.h"
 #include "src/common/hash.h"
 #include "src/common/logging.h"
 
@@ -16,40 +17,10 @@ std::uint64_t HashCombine(std::uint64_t a, std::uint64_t b) {
 
 std::uint64_t HashDouble(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-// Initial membership: reliable nodes first, then transient nodes grouped
-// into allocations of `nodes_per_allocation`, all incorporated at
-// start-up (input data loads before training begins, like the paper's
-// job start). The harness constructor mirrors this grouping into its
-// allocation table.
-std::vector<NodeInfo> InitialNodes(const ChaosConfig& config) {
-  std::vector<NodeInfo> nodes;
-  NodeId id = 0;
-  for (int i = 0; i < config.initial_reliable; ++i) {
-    nodes.push_back({id++, Tier::kReliable, 8, kInvalidAllocation});
-  }
-  for (int a = 0; a < config.initial_transient_allocations; ++a) {
-    for (int i = 0; i < config.nodes_per_allocation; ++i) {
-      nodes.push_back({id++, Tier::kTransient, 8, static_cast<AllocationId>(a)});
-    }
-  }
-  for (int a = 0; a < config.initial_serverless_allocations; ++a) {
-    const AllocationId alloc =
-        static_cast<AllocationId>(config.initial_transient_allocations + a);
-    for (int i = 0; i < config.serverless_nodes_per_allocation; ++i) {
-      nodes.push_back({id++, Tier::kServerless, 2, alloc});
-    }
-  }
-  return nodes;
-}
-
-// The silent-hang and blackhole fault classes are only observable
-// through the heartbeat detector, so chaos runs always arm it.
+// The harness injects silent hangs and blackholes, which only the
+// detector can catch.
 ChaosConfig NormalizeConfig(ChaosConfig config) {
-  if (!config.agileml.detector.enabled) {
-    config.agileml.detector.enabled = true;
-    config.agileml.detector.suspect_after = 1;
-    config.agileml.detector.confirm_after = 3;
-  }
+  ArmDetector(config.agileml.detector);
   return config;
 }
 
@@ -97,8 +68,11 @@ ChaosHarness::ChaosHarness(MLApp* app, ChaosConfig config)
     : app_(app),
       config_(NormalizeConfig(std::move(config))),
       injector_(config_.seed, config_.schedule),
-      runtime_(std::make_unique<AgileMLRuntime>(app_, config_.agileml,
-                                                InitialNodes(config_))),
+      runtime_(std::make_unique<AgileMLRuntime>(
+          app_, config_.agileml,
+          InitialNodes(config_.initial_reliable, config_.initial_transient_allocations,
+                       config_.nodes_per_allocation, config_.initial_serverless_allocations,
+                       config_.serverless_nodes_per_allocation))),
       auditor_(runtime_.get()) {
   PROTEUS_CHECK_GE(config_.initial_reliable, 1);
   PROTEUS_CHECK_GE(config_.nodes_per_allocation, 1);
@@ -131,28 +105,30 @@ ChaosHarness::ChaosHarness(MLApp* app, ChaosConfig config)
   // rather than lose the solution state and a correlated both-tier loss
   // is survivable from the first clock on.
   recovery_->ForceCheckpoint();
+  BindMetrics();
 }
 
 ChaosHarness::~ChaosHarness() = default;
 
 void ChaosHarness::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  fault_counters_ = {};
-  if (metrics != nullptr) {
-    for (int i = 0; i < kNumFaultClasses; ++i) {
-      const FaultClass cls = static_cast<FaultClass>(i);
-      fault_counters_[static_cast<std::size_t>(i)] =
-          metrics->GetCounter("chaos.faults", {{"class", FaultClassName(cls)}});
-    }
-  }
+  obs_.SetTracer(tracer);
+  obs_.SetMetrics(metrics);
+  BindMetrics();
   runtime_->SetObservability(tracer, metrics);
   control_channel_.SetObservability(metrics, "controller");
   auditor_.SetObservability(tracer, metrics);
   recovery_->SetObservability(tracer, metrics);
 }
 
+void ChaosHarness::BindMetrics() {
+  for (int i = 0; i < kNumFaultClasses; ++i) {
+    fault_counters_[static_cast<std::size_t>(i)] = obs_.GetCounter(
+        "chaos.faults", {{"class", FaultClassName(static_cast<FaultClass>(i))}});
+  }
+}
+
 void ChaosHarness::SetLedger(obs::EventLedger* ledger, obs::FlightRecorder* recorder) {
-  ledger_ = ledger;
+  obs_.SetLedger(ledger);
   runtime_->SetLedger(ledger);
   control_channel_.SetLedger(ledger, "controller");
   auditor_.SetLedger(ledger, recorder);
@@ -640,14 +616,11 @@ bool ChaosHarness::Apply(const FaultEvent& event) {
 
 ChaosRunResult ChaosHarness::Run() {
   ChaosRunResult result;
-  obs::EventId run_event = obs::kNoEvent;
   const SimDuration run_start = runtime_->total_time();
-  if (ledger_ != nullptr) {
-    run_event = ledger_->Open(
-        "run", "chaos", run_start,
-        {{"seed", static_cast<std::int64_t>(config_.seed)},
-         {"horizon", static_cast<std::int64_t>(config_.schedule.horizon)}});
-  }
+  const obs::Emitter::Region run_region =
+      obs_.Open("run", "chaos", run_start,
+                {{"seed", static_cast<std::int64_t>(config_.seed)},
+                 {"horizon", static_cast<std::int64_t>(config_.schedule.horizon)}});
   for (Clock boundary = 0; boundary < config_.schedule.horizon; ++boundary) {
     boundary_ = boundary;
     // Detector-driven rollbacks happened inside the previous RunClock;
@@ -691,11 +664,8 @@ ChaosRunResult ChaosHarness::Run() {
       stats.lost_clocks += runtime_->lost_clocks_total() - lost_before;
       stats.control_messages += runtime_->control_log().Total() - ctrl_before;
       applied.push_back(FaultClass::kPreparingEviction);
-      if (tracer_ != nullptr) {
-        tracer_->InstantAt(runtime_->total_time(), "fault.preparing_eviction", "chaos",
-                           {{"phase", "revoke"},
-                            {"boundary", static_cast<std::int64_t>(boundary)}});
-      }
+      obs_.Instant(runtime_->total_time(), "fault.preparing_eviction", "chaos",
+                   {{"phase", "revoke"}, {"boundary", static_cast<std::int64_t>(boundary)}});
     }
 
     std::vector<FaultEvent> due = std::move(deferred_);
@@ -706,21 +676,15 @@ ChaosRunResult ChaosHarness::Run() {
     for (const FaultEvent& event : due) {
       const int lost_before = runtime_->lost_clocks_total();
       const std::int64_t ctrl_before = runtime_->control_log().Total();
-      obs::EventId fault_event = obs::kNoEvent;
-      if (ledger_ != nullptr) {
-        // Open before Apply: whatever the fault forces — evictions,
-        // rollbacks, recovery-ladder steps — records as its children.
-        fault_event = ledger_->Open(
-            "fault", "chaos", runtime_->total_time(),
-            {{"class", std::string(FaultClassName(event.cls))},
-             {"magnitude", static_cast<std::int64_t>(event.magnitude)},
-             {"boundary", static_cast<std::int64_t>(boundary)}});
-      }
+      // Open before Apply: whatever the fault forces — evictions,
+      // rollbacks, recovery-ladder steps — records as its children.
+      const obs::Emitter::Region fault_region =
+          obs_.Open("fault", "chaos", runtime_->total_time(),
+                    {{"class", std::string(FaultClassName(event.cls))},
+                     {"magnitude", static_cast<std::int64_t>(event.magnitude)},
+                     {"boundary", static_cast<std::int64_t>(boundary)}});
       if (!Apply(event)) {
-        if (ledger_ != nullptr) {
-          ledger_->Close(fault_event, 0.0,
-                         {{"applied", static_cast<std::int64_t>(0)}});
-        }
+        obs_.Close(fault_region, 0.0, {{"applied", static_cast<std::int64_t>(0)}});
         deferred_.push_back(event);
         continue;
       }
@@ -729,25 +693,15 @@ ChaosRunResult ChaosHarness::Run() {
       stats.lost_clocks += runtime_->lost_clocks_total() - lost_before;
       stats.control_messages += runtime_->control_log().Total() - ctrl_before;
       applied.push_back(event.cls);
-      if (obs::Counter* c = fault_counters_[static_cast<std::size_t>(event.cls)]) {
-        c->Increment();
-      }
-      if (tracer_ != nullptr) {
-        tracer_->InstantAt(
-            runtime_->total_time(),
-            std::string("fault.") + FaultClassName(event.cls), "chaos",
-            {{"magnitude", static_cast<std::int64_t>(event.magnitude)},
-             {"boundary", static_cast<std::int64_t>(boundary)},
-             {"lost_clocks",
-              static_cast<std::int64_t>(runtime_->lost_clocks_total() - lost_before)}});
-      }
-      if (ledger_ != nullptr) {
-        ledger_->Close(
-            fault_event, 0.0,
-            {{"applied", static_cast<std::int64_t>(1)},
-             {"lost_clocks",
-              static_cast<std::int64_t>(runtime_->lost_clocks_total() - lost_before)}});
-      }
+      fault_counters_[static_cast<std::size_t>(event.cls)]->Increment();
+      const auto lost = static_cast<std::int64_t>(runtime_->lost_clocks_total() - lost_before);
+      obs_.Instant(runtime_->total_time(), std::string("fault.") + FaultClassName(event.cls),
+                   "chaos",
+                   {{"magnitude", static_cast<std::int64_t>(event.magnitude)},
+                    {"boundary", static_cast<std::int64_t>(boundary)},
+                    {"lost_clocks", lost}});
+      obs_.Close(fault_region, 0.0,
+                 {{"applied", static_cast<std::int64_t>(1)}, {"lost_clocks", lost}});
     }
 
     // BidBrain's next decision point: replenish lost capacity.
@@ -803,13 +757,10 @@ ChaosRunResult ChaosHarness::Run() {
         carryover_classes_.push_back(cause);
       }
       ForgetNodes(report.confirmed_dead);
-      if (tracer_ != nullptr) {
-        tracer_->InstantAt(
-            runtime_->total_time(), "fault.confirmed_dead", "chaos",
-            {{"victims", static_cast<std::int64_t>(report.confirmed_dead.size())},
-             {"lost_clocks", static_cast<std::int64_t>(lost_delta)},
-             {"boundary", static_cast<std::int64_t>(boundary)}});
-      }
+      obs_.Instant(runtime_->total_time(), "fault.confirmed_dead", "chaos",
+                   {{"victims", static_cast<std::int64_t>(report.confirmed_dead.size())},
+                    {"lost_clocks", static_cast<std::int64_t>(lost_delta)},
+                    {"boundary", static_cast<std::int64_t>(boundary)}});
     }
 
     if (!applied.empty()) {
@@ -819,14 +770,12 @@ ChaosRunResult ChaosHarness::Run() {
       const SimDuration clock_start = runtime_->total_time() - report.duration;
       for (const FaultClass cls : applied) {
         result.per_class[static_cast<std::size_t>(cls)].stall_seconds += share;
-        if (tracer_ != nullptr) {
-          // One recovery span per contributing fault class; chaos_soak
-          // aggregates these into the per-class recovery breakdown.
-          tracer_->SpanAt(clock_start, share, "recovery", "chaos",
-                          {{"class", FaultClassName(cls)},
-                           {"stall_share", share},
-                           {"clock", static_cast<std::int64_t>(report.clock)}});
-        }
+        // One recovery span per contributing fault class; chaos_soak
+        // aggregates these into the per-class recovery breakdown.
+        obs_.Span(clock_start, share, "recovery", "chaos",
+                  {{"class", FaultClassName(cls)},
+                   {"stall_share", share},
+                   {"clock", static_cast<std::int64_t>(report.clock)}});
       }
     }
 
@@ -846,12 +795,10 @@ ChaosRunResult ChaosHarness::Run() {
   result.final_clock = runtime_->clock();
   result.lost_clocks_total = runtime_->lost_clocks_total();
   result.virtual_time = runtime_->total_time();
-  if (ledger_ != nullptr) {
-    ledger_->Close(run_event, runtime_->total_time() - run_start,
-                   {{"clocks_run", static_cast<std::int64_t>(result.clocks_run)},
-                    {"final_clock", static_cast<std::int64_t>(result.final_clock)},
-                    {"lost_clocks", static_cast<std::int64_t>(result.lost_clocks_total)}});
-  }
+  obs_.Close(run_region, runtime_->total_time() - run_start,
+             {{"clocks_run", static_cast<std::int64_t>(result.clocks_run)},
+              {"final_clock", static_cast<std::int64_t>(result.final_clock)},
+              {"lost_clocks", static_cast<std::int64_t>(result.lost_clocks_total)}});
   result.final_objective = runtime_->ComputeObjective();
   result.violations = auditor_.violations();
   result.control_sent = control_channel_.messages_sent();

@@ -26,9 +26,7 @@
 #include "src/chaos/consistency_auditor.h"
 #include "src/chaos/fault_injector.h"
 #include "src/obs/flight_recorder.h"
-#include "src/obs/ledger.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/emitter.h"
 #include "src/ps/checkpoint_store.h"
 #include "src/rpc/channel.h"
 
@@ -212,9 +210,10 @@ class ChaosHarness {
   // the stall share is attributed there.
   std::vector<FaultClass> carryover_classes_;
 
-  // Observability sinks (optional) and per-class fault counters.
-  obs::Tracer* tracer_ = nullptr;
-  obs::EventLedger* ledger_ = nullptr;
+  // Re-resolves the per-class fault counters against obs_'s registry.
+  void BindMetrics();
+
+  obs::Emitter obs_;
   std::array<obs::Counter*, kNumFaultClasses> fault_counters_{};
 };
 

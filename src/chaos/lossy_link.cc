@@ -80,13 +80,11 @@ class LossyLinkDriver {
       rc.seed = config_.seed;
       reliable_ = std::make_unique<ReliableChannel>(&data_channel_, &ack_channel_, rc);
     }
-    if (tracer != nullptr || metrics != nullptr) {
-      runtime_->SetObservability(tracer, metrics);
-      auditor_->SetObservability(tracer, metrics);
-      data_channel_.SetObservability(metrics, "lossy-link");
-      if (reliable_ != nullptr) {
-        reliable_->SetObservability(tracer, metrics, "lossy-link");
-      }
+    runtime_->SetObservability(tracer, metrics);
+    auditor_->SetObservability(tracer, metrics);
+    data_channel_.SetObservability(metrics, "lossy-link");
+    if (reliable_ != nullptr) {
+      reliable_->SetObservability(tracer, metrics, "lossy-link");
     }
   }
 

@@ -6,6 +6,7 @@
 #include <set>
 #include <utility>
 
+#include "src/chaos/scenario.h"
 #include "src/chaos/state_digest.h"
 #include "src/common/hash.h"
 #include "src/common/logging.h"
@@ -14,31 +15,11 @@ namespace proteus {
 
 namespace {
 
-std::vector<NodeInfo> InitialNodes(const TierStormConfig& config) {
-  std::vector<NodeInfo> nodes;
-  NodeId id = 0;
-  for (int i = 0; i < config.initial_reliable; ++i) {
-    nodes.push_back({id++, Tier::kReliable, 8, kInvalidAllocation});
-  }
-  for (int a = 0; a < config.initial_transient_allocations; ++a) {
-    for (int i = 0; i < config.nodes_per_allocation; ++i) {
-      nodes.push_back({id++, Tier::kTransient, 8, static_cast<AllocationId>(a)});
-    }
-  }
-  // The serverless tier: burstable worker-only slots in one allocation.
-  const AllocationId serverless_alloc =
-      static_cast<AllocationId>(config.initial_transient_allocations);
-  for (int i = 0; i < config.initial_serverless; ++i) {
-    nodes.push_back({id++, Tier::kServerless, 2, serverless_alloc});
-  }
-  return nodes;
-}
-
 class TierStormDriver {
  public:
   TierStormDriver(MLApp* app, const TierStormConfig& config,
                   obs::Tracer* tracer, obs::MetricsRegistry* metrics)
-      : app_(app), config_(config), tracer_(tracer), metrics_(metrics) {
+      : app_(app), config_(config) {
     PROTEUS_CHECK(app_ != nullptr);
     PROTEUS_CHECK_GE(config_.initial_reliable, 2)
         << "storm scenarios need a reliable survivor";
@@ -50,11 +31,7 @@ class TierStormDriver {
 
     // Zero warning means only the heartbeat detector can notice the
     // storm: it is always armed here, as in production.
-    if (!config_.agileml.detector.enabled) {
-      config_.agileml.detector.enabled = true;
-      config_.agileml.detector.suspect_after = 1;
-      config_.agileml.detector.confirm_after = 3;
-    }
+    ArmDetector(config_.agileml.detector);
     // The TierGuard audits exposure at every clock; give it a bound the
     // initial composition satisfies so any breach is a real violation.
     if (!config_.agileml.tier_guard.enabled) {
@@ -65,19 +42,20 @@ class TierStormDriver {
     }
 
     result_.scenario = config_.scenario;
-    runtime_ = std::make_unique<AgileMLRuntime>(app_, config_.agileml,
-                                                InitialNodes(config_));
+    // The serverless tier: burstable worker-only slots in one allocation.
+    runtime_ = std::make_unique<AgileMLRuntime>(
+        app_, config_.agileml,
+        InitialNodes(config_.initial_reliable, config_.initial_transient_allocations,
+                     config_.nodes_per_allocation, 1, config_.initial_serverless));
     auditor_ = std::make_unique<ConsistencyAuditor>(runtime_.get());
     store_ = std::make_unique<CheckpointStore>(
         &device_, CheckpointStoreConfig{config_.durable_retain});
     recovery_ = std::make_unique<RecoveryManager>(
         runtime_.get(), store_.get(),
         RecoveryManagerConfig{config_.checkpoint_every, /*scrub_every=*/0});
-    if (tracer_ != nullptr || metrics_ != nullptr) {
-      runtime_->SetObservability(tracer_, metrics_);
-      auditor_->SetObservability(tracer_, metrics_);
-      recovery_->SetObservability(tracer_, metrics_);
-    }
+    runtime_->SetObservability(tracer, metrics);
+    auditor_->SetObservability(tracer, metrics);
+    recovery_->SetObservability(tracer, metrics);
     // Start-up insurance, as in production: a committed durable epoch
     // exists before the first clock runs.
     recovery_->ForceCheckpoint();
@@ -302,8 +280,6 @@ class TierStormDriver {
 
   MLApp* app_;
   TierStormConfig config_;
-  obs::Tracer* tracer_;
-  obs::MetricsRegistry* metrics_;
 
   MemDurableDevice device_;
   std::unique_ptr<AgileMLRuntime> runtime_;

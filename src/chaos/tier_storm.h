@@ -49,8 +49,7 @@
 #include "src/agileml/recovery_manager.h"
 #include "src/agileml/runtime.h"
 #include "src/chaos/consistency_auditor.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/emitter.h"
 #include "src/ps/checkpoint_store.h"
 
 namespace proteus {

@@ -137,11 +137,11 @@ ClusterScheduler::ClusterScheduler(const InstanceTypeCatalog* catalog, const Tra
 }
 
 void ClusterScheduler::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  metrics_ = metrics;
+  obs_.SetTracer(tracer);
+  obs_.SetMetrics(metrics);
 }
 
-void ClusterScheduler::SetLedger(obs::EventLedger* ledger) { ledger_ = ledger; }
+void ClusterScheduler::SetLedger(obs::EventLedger* ledger) { obs_.SetLedger(ledger); }
 
 FleetResult ClusterScheduler::Run(const std::vector<TenantSpec>& specs, Allocator& allocator,
                                   const FleetConfig& config) {
@@ -171,22 +171,14 @@ FleetResult ClusterScheduler::Run(const std::vector<TenantSpec>& specs, Allocato
   result.allocator = allocator.name();
   result.rounds.reserve(static_cast<std::size_t>(config.rounds));
 
-  obs::Counter* rounds_counter = nullptr;
-  obs::Counter* preempt_counter = nullptr;
-  obs::Counter* evict_counter = nullptr;
-  obs::Counter* od_counter = nullptr;
-  if (metrics_ != nullptr) {
-    rounds_counter = metrics_->GetCounter("cluster.rounds");
-    preempt_counter = metrics_->GetCounter("cluster.preempted.slots");
-    evict_counter = metrics_->GetCounter("cluster.evictions");
-    od_counter = metrics_->GetCounter("cluster.on_demand.slots");
-  }
-  obs::EventId fleet_event = obs::kNoEvent;
-  if (ledger_ != nullptr) {
-    fleet_event = ledger_->Open("fleet", "cluster", config.start,
-                                {{"allocator", allocator.name()},
-                                 {"tenants", static_cast<std::int64_t>(specs.size())}});
-  }
+  obs::Counter* rounds_counter = obs_.GetCounter("cluster.rounds");
+  obs::Counter* preempt_counter = obs_.GetCounter("cluster.preempted.slots");
+  obs::Counter* evict_counter = obs_.GetCounter("cluster.evictions");
+  obs::Counter* od_counter = obs_.GetCounter("cluster.on_demand.slots");
+  const obs::Emitter::Region fleet_region =
+      obs_.Open("fleet", "cluster", config.start,
+                {{"allocator", allocator.name()},
+                 {"tenants", static_cast<std::int64_t>(specs.size())}});
 
   auto capture_credits = [&](TenantState& ts) {
     if (!ts.credits_captured) {
@@ -198,11 +190,8 @@ FleetResult ClusterScheduler::Run(const std::vector<TenantSpec>& specs, Allocato
   for (int r = 0; r < config.rounds; ++r) {
     const SimTime t0 = config.start + r * config.round;
     const SimTime t1 = t0 + config.round;
-    obs::EventId round_event = obs::kNoEvent;
-    if (ledger_ != nullptr) {
-      round_event = ledger_->Open("round", "cluster", t0,
-                                  {{"round", static_cast<std::int64_t>(r)}});
-    }
+    const obs::Emitter::Region round_region =
+        obs_.Open("round", "cluster", t0, {{"round", static_cast<std::int64_t>(r)}});
 
     // 1. Retire finished/cancelled tenants; their slots return to the pool.
     for (TenantState& ts : states) {
@@ -222,11 +211,9 @@ FleetResult ClusterScheduler::Run(const std::vector<TenantSpec>& specs, Allocato
       ts.slots.clear();
       allocator.OnTenantRetired(ts.id);
       ts.retired = true;
-      if (ledger_ != nullptr) {
-        ledger_->Record("tenant.retire", "cluster", t0,
-                        {{"tenant", ts.spec.name},
-                         {"reason", std::string(ts.completed ? "completed" : "cancelled")}});
-      }
+      obs_.Event("tenant.retire", "cluster", t0,
+                 {{"tenant", ts.spec.name},
+                  {"reason", std::string(ts.completed ? "completed" : "cancelled")}});
     }
 
     // 2. Admissions at the round boundary.
@@ -253,9 +240,7 @@ FleetResult ClusterScheduler::Run(const std::vector<TenantSpec>& specs, Allocato
         ts.completed = true;  // Zero-work job: done on arrival.
         ts.completion_time = t0;
       }
-      if (ledger_ != nullptr) {
-        ledger_->Record("tenant.admit", "cluster", t0, {{"tenant", ts.spec.name}});
-      }
+      obs_.Event("tenant.admit", "cluster", t0, {{"tenant", ts.spec.name}});
     }
 
     // 3. This round's shared capacity.
@@ -338,11 +323,8 @@ FleetResult ClusterScheduler::Run(const std::vector<TenantSpec>& specs, Allocato
       if (preempted > 0) {
         ts.preempted += preempted;
         rec.preempted_slots += preempted;
-        if (ledger_ != nullptr) {
-          ledger_->Record("tenant.preempt", "cluster", t0,
-                          {{"tenant", ts.spec.name},
-                           {"slots", static_cast<std::int64_t>(preempted)}});
-        }
+        obs_.Event("tenant.preempt", "cluster", t0,
+                   {{"tenant", ts.spec.name}, {"slots", static_cast<std::int64_t>(preempted)}});
       }
     }
     for (std::size_t i = 0; i < active.size(); ++i) {
@@ -379,9 +361,7 @@ FleetResult ClusterScheduler::Run(const std::vector<TenantSpec>& specs, Allocato
       ts.od_alloc = market.RequestOnDemand(config.slot_market, od, t0);
       ts.billed.push_back(ts.od_alloc);
       rec.on_demand += od;
-      if (od_counter != nullptr) {
-        od_counter->Add(static_cast<std::uint64_t>(od));
-      }
+      od_counter->Add(static_cast<std::uint64_t>(od));
     }
 
     // 8. Work accrual: integrate productive slots piecewise over the
@@ -479,10 +459,7 @@ FleetResult ClusterScheduler::Run(const std::vector<TenantSpec>& specs, Allocato
           market.MarkEvicted(id);
           ++ts.evictions;
           ++rec.evictions;
-          if (ledger_ != nullptr) {
-            ledger_->Record("tenant.evict", "cluster", *a.eviction_time,
-                            {{"tenant", ts.spec.name}});
-          }
+          obs_.Event("tenant.evict", "cluster", *a.eviction_time, {{"tenant", ts.spec.name}});
         } else {
           still_running.push_back(id);
         }
@@ -522,29 +499,18 @@ FleetResult ClusterScheduler::Run(const std::vector<TenantSpec>& specs, Allocato
     rec.jain_granted = JainIndex(granted_values);
     result.rounds.push_back(rec);
 
-    if (rounds_counter != nullptr) {
-      rounds_counter->Increment();
-    }
-    if (preempt_counter != nullptr && rec.preempted_slots > 0) {
+    rounds_counter->Increment();
+    if (rec.preempted_slots > 0) {
       preempt_counter->Add(static_cast<std::uint64_t>(rec.preempted_slots));
     }
-    if (evict_counter != nullptr && rec.evictions > 0) {
+    if (rec.evictions > 0) {
       evict_counter->Add(static_cast<std::uint64_t>(rec.evictions));
     }
-    if (tracer_ != nullptr) {
-      tracer_->SpanAt(t0, config.round, "round", "cluster",
-                      {{"round", static_cast<std::int64_t>(r)},
-                       {"capacity", static_cast<std::int64_t>(capacity)},
-                       {"granted", static_cast<std::int64_t>(rec.granted)},
-                       {"borrowed", static_cast<std::int64_t>(rec.borrowed)}});
-      tracer_->CounterAt(t0, "cluster.utilization", "cluster", rec.utilization);
-      tracer_->CounterAt(t0, "cluster.escrow", "cluster", static_cast<double>(rec.escrow));
-    }
-    if (ledger_ != nullptr) {
-      ledger_->Close(round_event, config.round,
-                     {{"granted", static_cast<std::int64_t>(rec.granted)},
-                      {"utilization", rec.utilization}});
-    }
+    obs_.Sample(t0, "cluster.utilization", "cluster", rec.utilization);
+    obs_.Sample(t0, "cluster.escrow", "cluster", static_cast<double>(rec.escrow));
+    obs_.Close(round_region, config.round,
+               {{"granted", static_cast<std::int64_t>(rec.granted)},
+                {"utilization", rec.utilization}});
   }
 
   // Horizon: retire everyone still active and settle bills.
@@ -609,26 +575,21 @@ FleetResult ClusterScheduler::Run(const std::vector<TenantSpec>& specs, Allocato
   result.jain_short_term = jain_rounds > 0 ? jain_sum / jain_rounds : 1.0;
   result.jain_long_term = JainIndex(long_term);
 
-  if (metrics_ != nullptr) {
-    metrics_->GetGauge("cluster.utilization.mean")->Set(result.mean_utilization);
-    metrics_->GetGauge("cluster.fairness.jain_long")->Set(result.jain_long_term);
-    metrics_->GetGauge("cluster.fairness.jain_short")->Set(result.jain_short_term);
-    metrics_->GetGauge("cluster.cost.dollars")->Set(result.total_cost);
-    for (const TenantResult& t : result.tenants) {
-      const obs::Labels labels = {{"tenant", t.name}};
-      metrics_->GetGauge("cluster.tenant.allocated_hours", labels)->Set(t.allocated_hours);
-      metrics_->GetGauge("cluster.tenant.useful_hours", labels)->Set(t.useful_hours);
-      metrics_->GetGauge("cluster.tenant.credits", labels)
-          ->Set(static_cast<double>(t.credits_final));
-      metrics_->GetGauge("cluster.tenant.cost.dollars", labels)->Set(t.cost);
-    }
+  obs_.GetGauge("cluster.utilization.mean")->Set(result.mean_utilization);
+  obs_.GetGauge("cluster.fairness.jain_long")->Set(result.jain_long_term);
+  obs_.GetGauge("cluster.fairness.jain_short")->Set(result.jain_short_term);
+  obs_.GetGauge("cluster.cost.dollars")->Set(result.total_cost);
+  for (const TenantResult& t : result.tenants) {
+    const obs::Labels labels = {{"tenant", t.name}};
+    obs_.GetGauge("cluster.tenant.allocated_hours", labels)->Set(t.allocated_hours);
+    obs_.GetGauge("cluster.tenant.useful_hours", labels)->Set(t.useful_hours);
+    obs_.GetGauge("cluster.tenant.credits", labels)->Set(static_cast<double>(t.credits_final));
+    obs_.GetGauge("cluster.tenant.cost.dollars", labels)->Set(t.cost);
   }
-  if (ledger_ != nullptr) {
-    ledger_->Close(fleet_event, horizon - config.start,
-                   {{"mean_util", result.mean_utilization},
-                    {"jain_long", result.jain_long_term},
-                    {"cost", result.total_cost}});
-  }
+  obs_.Close(fleet_region, horizon - config.start,
+             {{"mean_util", result.mean_utilization},
+              {"jain_long", result.jain_long_term},
+              {"cost", result.total_cost}});
   return result;
 }
 

@@ -79,24 +79,30 @@ std::string FlightRecorder::DumpToString(const std::string& reason,
     AppendLedgerEventJson(out, chain[i]);
   }
   out += "\n],\n\"components\":{";
+  // Snapshot the rings first and read the ledger after releasing
+  // rings_mu_: OnEvent takes rings_mu_ under the ledger's lock, so
+  // holding it across ledger reads would invert that order.
+  std::vector<std::pair<std::string, std::vector<EventId>>> windows;
   {
     std::lock_guard<std::mutex> lock(rings_mu_);
-    bool first_component = true;
     for (const auto& [component, ring] : rings_) {
-      if (!first_component) {
-        out += ',';
-      }
-      first_component = false;
-      out += '\n';
-      AppendJsonString(out, component);
-      out += ":[";
-      const std::vector<EventId> ids = RingContents(*ring);
-      for (std::size_t i = 0; i < ids.size(); ++i) {
-        out += i == 0 ? "\n" : ",\n";
-        AppendLedgerEventJson(out, ledger_->Get(ids[i]));
-      }
-      out += "\n]";
+      windows.emplace_back(component, RingContents(*ring));
     }
+  }
+  bool first_component = true;
+  for (const auto& [component, ids] : windows) {
+    if (!first_component) {
+      out += ',';
+    }
+    first_component = false;
+    out += '\n';
+    AppendJsonString(out, component);
+    out += ":[";
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      out += i == 0 ? "\n" : ",\n";
+      AppendLedgerEventJson(out, ledger_->Get(ids[i]));
+    }
+    out += "\n]";
   }
   out += "\n}}\n";
   return out;

@@ -37,21 +37,9 @@ std::string FormatTraceValue(const TraceValue& value) {
 
 }  // namespace
 
-Tracer::Tracer(ClockFn clock) : clock_(std::move(clock)) {
-  if (!clock_) {
-    wall_epoch_ = WallSeconds();
-  }
-}
+Tracer::Tracer() : wall_epoch_(WallSeconds()) {}
 
-void Tracer::SetClock(ClockFn clock) {
-  std::lock_guard<std::mutex> lock(mu_);
-  clock_ = std::move(clock);
-}
-
-double Tracer::Now() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return clock_ ? clock_() : WallSeconds() - wall_epoch_;
-}
+double Tracer::Now() const { return WallSeconds() - wall_epoch_; }
 
 void Tracer::Record(TraceEvent event) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -70,10 +58,6 @@ void Tracer::SpanAt(double ts, double dur, std::string name, std::string track,
 void Tracer::InstantAt(double ts, std::string name, std::string track, TraceArgs args) {
   Record({TraceEvent::Phase::kInstant, std::move(name), std::move(track), ts, 0.0,
           std::move(args)});
-}
-
-void Tracer::Instant(std::string name, std::string track, TraceArgs args) {
-  InstantAt(Now(), std::move(name), std::move(track), std::move(args));
 }
 
 void Tracer::CounterAt(double ts, std::string name, std::string track, double value) {

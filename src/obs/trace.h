@@ -1,13 +1,11 @@
 // Sim-clock event tracing with Chrome trace_event JSON export.
 //
 // The Tracer records spans (named intervals) and instant events on named
-// tracks ("agileml", "proteus", "bidbrain", "chaos", ...). Timestamps
-// are seconds on whatever clock the caller supplies: components that
-// live in simulated time pass their virtual timestamps explicitly
-// (SpanAt / InstantAt), so a trace of a same-seed run is bit-identical
-// across executions; callers without a timebase use Instant(), which
-// reads the tracer's clock — a bound sim clock (e.g. an EventQueue) or,
-// by default, the wall clock since tracer construction.
+// tracks ("agileml", "proteus", "bidbrain", "chaos", ...). Every event
+// carries the timestamp its caller passes, in seconds: runtime
+// components pass virtual time (through obs::Emitter), so a trace of a
+// same-seed run is bit-identical across executions. Now() reads the wall
+// clock since tracer construction, for callers that time real work.
 //
 // ToChromeJson() emits the Trace Event Format understood by Perfetto
 // (ui.perfetto.dev) and chrome://tracing: spans as complete events
@@ -19,7 +17,6 @@
 #define SRC_OBS_TRACE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -45,28 +42,17 @@ struct TraceEvent {
 
 class Tracer {
  public:
-  // Returns "now" in seconds. Null => wall clock (monotonic, zeroed at
-  // tracer construction).
-  using ClockFn = std::function<double()>;
-
-  explicit Tracer(ClockFn clock = nullptr);
+  Tracer();
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  // Rebinds the timebase, e.g. to an EventQueue: SetClock([&q] { return q.now(); }).
-  void SetClock(ClockFn clock);
-
-  // Current time on the bound clock, in seconds.
+  // Wall-clock seconds since construction (monotonic).
   double Now() const;
 
-  // Explicit-timestamp recording (simulated-time components).
   void SpanAt(double ts, double dur, std::string name, std::string track,
               TraceArgs args = {});
   void InstantAt(double ts, std::string name, std::string track, TraceArgs args = {});
-
-  // Clock-sampled instant (wall time unless a sim clock is bound).
-  void Instant(std::string name, std::string track, TraceArgs args = {});
 
   // Counter sample (Chrome ph "C"): `name` becomes a time-series track
   // in Perfetto, stepping to `value` at ts. Gauges that matter over
@@ -93,8 +79,7 @@ class Tracer {
   void Record(TraceEvent event);
 
   mutable std::mutex mu_;
-  ClockFn clock_;
-  double wall_epoch_ = 0.0;  // Used by the wall-clock fallback.
+  const double wall_epoch_;
   std::vector<TraceEvent> events_;
   // Track name -> tid, in order of first use.
   std::map<std::string, int> track_ids_;

@@ -48,44 +48,38 @@ ProteusRuntime::ProteusRuntime(MLApp* app, const InstanceTypeCatalog* catalog,
   controller_channel_.Send(Message(AppCharacteristicsMsg{
       config_.bidbrain.app.phi, config_.bidbrain.app.sigma, config_.bidbrain.app.lambda,
       static_cast<double>(od_type.vcpus)}));
+  BindMetrics();
 }
 
 ProteusRuntime::~ProteusRuntime() = default;
 
 void ProteusRuntime::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  metrics_ = metrics;
-  total_cost_gauge_ = nullptr;
-  acquisitions_counter_ = nullptr;
-  evictions_counter_ = nullptr;
-  failures_counter_ = nullptr;
-  aborted_counter_ = nullptr;
-  if (metrics != nullptr) {
-    total_cost_gauge_ = metrics->GetGauge("proteus.cost.dollars");
-    acquisitions_counter_ = metrics->GetCounter("proteus.allocations", {{"event", "acquired"}});
-    evictions_counter_ = metrics->GetCounter("proteus.allocations", {{"event", "evicted"}});
-    failures_counter_ = metrics->GetCounter("proteus.allocations", {{"event", "failed"}});
-    aborted_counter_ = metrics->GetCounter("proteus.allocations", {{"event", "aborted"}});
-  }
+  obs_.SetTracer(tracer);
+  obs_.SetMetrics(metrics);
+  BindMetrics();
   agileml_->SetObservability(tracer, metrics);
   bidbrain_.SetObservability(tracer, metrics);
   api_channel_.SetObservability(metrics, "api");
   controller_channel_.SetObservability(metrics, "controller");
-  UpdateCostGauges();
 }
 
 void ProteusRuntime::SetLedger(obs::EventLedger* ledger) {
-  ledger_ = ledger;
+  obs_.SetLedger(ledger);
   agileml_->SetLedger(ledger);
   api_channel_.SetLedger(ledger, "api");
   controller_channel_.SetLedger(ledger, "controller");
 }
 
+void ProteusRuntime::BindMetrics() {
+  total_cost_gauge_ = obs_.GetGauge("proteus.cost.dollars");
+  acquisitions_counter_ = obs_.GetCounter("proteus.allocations", {{"event", "acquired"}});
+  evictions_counter_ = obs_.GetCounter("proteus.allocations", {{"event", "evicted"}});
+  failures_counter_ = obs_.GetCounter("proteus.allocations", {{"event", "failed"}});
+  aborted_counter_ = obs_.GetCounter("proteus.allocations", {{"event", "aborted"}});
+}
+
 void ProteusRuntime::RecordAllocEvent(const char* event, const TrackedAllocation& tracked,
                                       obs::TraceArgs extra) {
-  if (tracer_ == nullptr && ledger_ == nullptr) {
-    return;
-  }
   const Allocation& alloc = market_.Get(tracked.id);
   obs::TraceArgs args = {{"alloc", static_cast<std::int64_t>(tracked.id)},
                          {"market", alloc.market.zone + "/" + alloc.market.instance_type},
@@ -93,46 +87,29 @@ void ProteusRuntime::RecordAllocEvent(const char* event, const TrackedAllocation
   for (auto& kv : extra) {
     args.push_back(std::move(kv));
   }
-  if (ledger_ != nullptr) {
-    ledger_->Record(std::string("alloc.") + event, "proteus", now_, args);
-  }
-  if (tracer_ != nullptr) {
-    tracer_->InstantAt(now_, std::string("alloc.") + event, "proteus", std::move(args));
-  }
+  obs_.Event(std::string("alloc.") + event, "proteus", now_, std::move(args));
 }
 
 void ProteusRuntime::UpdateCostGauges() {
   const Money serverless_cost =
       serverless_ != nullptr ? serverless_->TotalBill(now_) : 0.0;
-  if (ledger_ != nullptr || tracer_ != nullptr) {
-    const Money total = ComputeTotalJobBill(market_, now_).cost + serverless_cost;
-    if (ledger_ != nullptr) {
-      ledger_->Record("cost.sample", "proteus", now_, {{"dollars", total}});
-    }
-    if (tracer_ != nullptr) {
-      tracer_->CounterAt(now_, "cost_dollars", "proteus", total);
-    }
-  }
-  if (metrics_ == nullptr) {
-    return;
-  }
-  if (total_cost_gauge_ != nullptr) {
-    total_cost_gauge_->Set(ComputeTotalJobBill(market_, now_).cost + serverless_cost);
-  }
+  const Money market_cost = ComputeTotalJobBill(market_, now_).cost;
+  const Money total = market_cost + serverless_cost;
+  obs_.Event("cost.sample", "proteus", now_, {{"dollars", total}});
+  obs_.Sample(now_, "cost_dollars", "proteus", total);
+  total_cost_gauge_->Set(total);
   // Per-tier cost attribution (the tab_* benches and proteus_analyze
   // read these to attribute damage and spend by reliability tier).
   const Money reliable_cost = ComputeJobBill(market_, on_demand_allocation_, now_).cost;
-  const Money transient_cost = ComputeTotalJobBill(market_, now_).cost - reliable_cost;
-  metrics_->GetGauge("proteus.tier.cost", {{"tier", "reliable"}})->Set(reliable_cost);
-  metrics_->GetGauge("proteus.tier.cost", {{"tier", "transient"}})->Set(transient_cost);
-  metrics_->GetGauge("proteus.tier.cost", {{"tier", "serverless"}})->Set(serverless_cost);
+  obs_.GetGauge("proteus.tier.cost", {{"tier", "reliable"}})->Set(reliable_cost);
+  obs_.GetGauge("proteus.tier.cost", {{"tier", "transient"}})->Set(market_cost - reliable_cost);
+  obs_.GetGauge("proteus.tier.cost", {{"tier", "serverless"}})->Set(serverless_cost);
   // Per-allocation accumulated cost (the reliable tier is one gauge
   // too). Ended allocations keep their final bill; ids restart at 0
   // every run, so the label cardinality stays bounded.
   for (const Allocation& alloc : market_.allocations()) {
-    obs::Gauge* g =
-        metrics_->GetGauge("proteus.alloc.cost", {{"alloc", std::to_string(alloc.id)}});
-    g->Set(ComputeJobBill(market_, alloc.id, now_).cost);
+    obs_.GetGauge("proteus.alloc.cost", {{"alloc", std::to_string(alloc.id)}})
+        ->Set(ComputeJobBill(market_, alloc.id, now_).cost);
   }
 }
 
@@ -175,9 +152,7 @@ void ProteusRuntime::RunDecisionPoint() {
       const AllocationId alloc_id = *id;
       live_[alloc_id] = std::move(tracked);
       ++acquisitions_;
-      if (acquisitions_counter_ != nullptr) {
-        acquisitions_counter_->Increment();
-      }
+      acquisitions_counter_->Increment();
       RecordAllocEvent("bid", live_[alloc_id], {{"bid", action.bid}});
     } else {
       auto it = live_.find(action.target);
@@ -197,9 +172,6 @@ void ProteusRuntime::RunDecisionPoint() {
 void ProteusRuntime::RecordServerlessEvent(const char* event,
                                            const TrackedServerless& tracked,
                                            obs::TraceArgs extra) {
-  if (tracer_ == nullptr && ledger_ == nullptr) {
-    return;
-  }
   const ServerlessAllocation& alloc = serverless_->Get(tracked.id);
   obs::TraceArgs args = {{"alloc", static_cast<std::int64_t>(tracked.id)},
                          {"market", std::string("serverless")},
@@ -207,13 +179,7 @@ void ProteusRuntime::RecordServerlessEvent(const char* event,
   for (auto& kv : extra) {
     args.push_back(std::move(kv));
   }
-  if (ledger_ != nullptr) {
-    ledger_->Record(std::string("serverless.") + event, "proteus", now_, args);
-  }
-  if (tracer_ != nullptr) {
-    tracer_->InstantAt(now_, std::string("serverless.") + event, "proteus",
-                       std::move(args));
-  }
+  obs_.Event(std::string("serverless.") + event, "proteus", now_, std::move(args));
 }
 
 void ProteusRuntime::RunServerlessAcquisition() {
@@ -265,9 +231,7 @@ void ProteusRuntime::RunServerlessAcquisition() {
     serverless_live_[alloc_id] = std::move(tracked);
     ++acquisitions_;
     ++serverless_acquisitions_;
-    if (acquisitions_counter_ != nullptr) {
-      acquisitions_counter_->Increment();
-    }
+    acquisitions_counter_->Increment();
     RecordServerlessEvent("acquired", serverless_live_[alloc_id]);
     want -= count;
   }
@@ -296,9 +260,7 @@ void ProteusRuntime::ProcessServerlessEventsUntil(SimTime until) {
         // Never incorporated: the preload is simply abandoned.
         agileml_->Evict(tracked.nodes);
         ++aborted_preloads_;
-        if (aborted_counter_ != nullptr) {
-          aborted_counter_->Increment();
-        }
+        aborted_counter_->Increment();
         RecordServerlessEvent("aborted", tracked,
                               {{"cause", std::string(ServerlessRevocationCauseName(
                                     alloc.revocation_cause))}});
@@ -340,9 +302,7 @@ void ProteusRuntime::HandleEviction(TrackedAllocation& tracked, bool warned) {
   if (!any_incorporated) {
     agileml_->Evict(tracked.nodes);  // Discards the preparing nodes.
     ++aborted_preloads_;
-    if (aborted_counter_ != nullptr) {
-      aborted_counter_->Increment();
-    }
+    aborted_counter_->Increment();
     RecordAllocEvent("aborted", tracked);
     PROTEUS_LOG(Debug) << "allocation " << tracked.id
                        << " revoked before incorporation; preload abandoned";
@@ -351,17 +311,13 @@ void ProteusRuntime::HandleEviction(TrackedAllocation& tracked, bool warned) {
   if (warned) {
     agileml_->Evict(tracked.nodes);
     ++evictions_;
-    if (evictions_counter_ != nullptr) {
-      evictions_counter_->Increment();
-    }
+    evictions_counter_->Increment();
     RecordAllocEvent("evicted", tracked);
   } else {
     const int lost = agileml_->Fail(tracked.nodes);
     transient_lost_clocks_ += lost;
     ++failures_;
-    if (failures_counter_ != nullptr) {
-      failures_counter_->Increment();
-    }
+    failures_counter_->Increment();
     RecordAllocEvent("failed", tracked, {{"lost_clocks", static_cast<std::int64_t>(lost)}});
     PROTEUS_LOG(Debug) << "effective failure: lost " << lost << " clocks";
   }
@@ -445,9 +401,7 @@ void ProteusRuntime::Step() {
         ++failures_;
         ++silent_failures_;
         ++serverless_losses_;
-        if (failures_counter_ != nullptr) {
-          failures_counter_->Increment();
-        }
+        failures_counter_->Increment();
         RecordServerlessEvent("failed.confirmed", tracked,
                               {{"clock", static_cast<std::int64_t>(agileml_->clock())}});
         it = serverless_live_.erase(it);
@@ -471,9 +425,7 @@ void ProteusRuntime::Step() {
         transient_confirmed = true;
         ++failures_;
         ++silent_failures_;
-        if (failures_counter_ != nullptr) {
-          failures_counter_->Increment();
-        }
+        failures_counter_->Increment();
         RecordAllocEvent("failed.confirmed", tracked,
                          {{"clock", static_cast<std::int64_t>(agileml_->clock())}});
         it = live_.erase(it);

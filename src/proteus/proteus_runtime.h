@@ -27,9 +27,7 @@
 #include "src/bidbrain/bidbrain.h"
 #include "src/market/serverless_tier.h"
 #include "src/market/spot_market.h"
-#include "src/obs/ledger.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/emitter.h"
 #include "src/proteus/accounting.h"
 #include "src/rpc/channel.h"
 
@@ -262,12 +260,13 @@ class ProteusRuntime {
   int serverless_lost_clocks_ = 0;
   int serverless_acquisitions_ = 0;
 
-  // Observability sinks (optional) and cached handles. Per-allocation
-  // cost gauges are registered lazily as allocations appear; allocation
-  // ids restart at 0 every run, so cardinality stays bounded.
-  obs::Tracer* tracer_ = nullptr;
-  obs::EventLedger* ledger_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  // Re-resolves the cached metric handles against obs_'s registry.
+  void BindMetrics();
+
+  // Observability and cached handles. Per-allocation cost gauges are
+  // registered lazily as allocations appear; allocation ids restart at
+  // 0 every run, so cardinality stays bounded.
+  obs::Emitter obs_;
   obs::Gauge* total_cost_gauge_ = nullptr;
   obs::Counter* acquisitions_counter_ = nullptr;
   obs::Counter* evictions_counter_ = nullptr;

@@ -365,29 +365,23 @@ CheckpointStore::CheckpointStore(DurableDevice* device, CheckpointStoreConfig co
       }
     }
   }
+  BindMetrics();
 }
 
 void CheckpointStore::SetObservability(obs::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  if (metrics_ == nullptr) {
-    bytes_written_counter_ = nullptr;
-    bytes_restored_counter_ = nullptr;
-    chunks_written_counter_ = nullptr;
-    chunks_reused_counter_ = nullptr;
-    epochs_committed_counter_ = nullptr;
-    commit_aborts_counter_ = nullptr;
-    corrupt_epochs_counter_ = nullptr;
-    scrub_corrupt_counter_ = nullptr;
-    return;
-  }
-  bytes_written_counter_ = metrics_->GetCounter("checkpoint.bytes_written");
-  bytes_restored_counter_ = metrics_->GetCounter("checkpoint.bytes_restored");
-  chunks_written_counter_ = metrics_->GetCounter("checkpoint.chunks_written");
-  chunks_reused_counter_ = metrics_->GetCounter("checkpoint.chunks_reused");
-  epochs_committed_counter_ = metrics_->GetCounter("checkpoint.epochs_committed");
-  commit_aborts_counter_ = metrics_->GetCounter("checkpoint.commit_aborts");
-  corrupt_epochs_counter_ = metrics_->GetCounter("checkpoint.corrupt_epochs_skipped");
-  scrub_corrupt_counter_ = metrics_->GetCounter("checkpoint.scrub_corruptions_found");
+  obs_.SetMetrics(metrics);
+  BindMetrics();
+}
+
+void CheckpointStore::BindMetrics() {
+  bytes_written_counter_ = obs_.GetCounter("checkpoint.bytes_written");
+  bytes_restored_counter_ = obs_.GetCounter("checkpoint.bytes_restored");
+  chunks_written_counter_ = obs_.GetCounter("checkpoint.chunks_written");
+  chunks_reused_counter_ = obs_.GetCounter("checkpoint.chunks_reused");
+  epochs_committed_counter_ = obs_.GetCounter("checkpoint.epochs_committed");
+  commit_aborts_counter_ = obs_.GetCounter("checkpoint.commit_aborts");
+  corrupt_epochs_counter_ = obs_.GetCounter("checkpoint.corrupt_epochs_skipped");
+  scrub_corrupt_counter_ = obs_.GetCounter("checkpoint.scrub_corruptions_found");
 }
 
 CheckpointWriteResult CheckpointStore::WriteCheckpoint(const ModelStore& model, Clock clock) {
@@ -476,15 +470,13 @@ CheckpointWriteResult CheckpointStore::WriteInternal(
       committed_versions_[entry.shard] = entry.shard_version;
     }
     CollectGarbage();
-    if (metrics_ != nullptr) {
-      bytes_written_counter_->Add(result.bytes_written);
-      chunks_written_counter_->Add(static_cast<std::uint64_t>(result.chunks_written));
-      chunks_reused_counter_->Add(static_cast<std::uint64_t>(result.chunks_reused));
-      epochs_committed_counter_->Increment();
-    }
+    bytes_written_counter_->Add(result.bytes_written);
+    chunks_written_counter_->Add(static_cast<std::uint64_t>(result.chunks_written));
+    chunks_reused_counter_->Add(static_cast<std::uint64_t>(result.chunks_reused));
+    epochs_committed_counter_->Increment();
   } else {
     ++commit_aborts_;
-    if (metrics_ != nullptr) commit_aborts_counter_->Increment();
+    commit_aborts_counter_->Increment();
   }
   return result;
 }
@@ -524,17 +516,15 @@ std::optional<LoadedCheckpoint> CheckpointStore::ReadNewestValid() const {
           loaded.bytes_read += bytes->size();
           loaded.corrupt_epochs_skipped = corrupt_skipped;
           loaded.torn_epochs_skipped = torn_skipped;
-          if (metrics_ != nullptr) {
-            bytes_restored_counter_->Add(loaded.bytes_read);
-            corrupt_epochs_counter_->Add(static_cast<std::uint64_t>(corrupt_skipped));
-          }
+          bytes_restored_counter_->Add(loaded.bytes_read);
+          corrupt_epochs_counter_->Add(static_cast<std::uint64_t>(corrupt_skipped));
           return loaded;
         }
       }
     }
     ++corrupt_skipped;
   }
-  if (metrics_ != nullptr) corrupt_epochs_counter_->Add(static_cast<std::uint64_t>(corrupt_skipped));
+  corrupt_epochs_counter_->Add(static_cast<std::uint64_t>(corrupt_skipped));
   return std::nullopt;
 }
 
@@ -577,9 +567,7 @@ ScrubReport CheckpointStore::Scrub() const {
       report.corrupt_objects.push_back(name);
     }
   }
-  if (metrics_ != nullptr) {
-    scrub_corrupt_counter_->Add(report.corrupt_objects.size());
-  }
+  scrub_corrupt_counter_->Add(report.corrupt_objects.size());
   return report;
 }
 

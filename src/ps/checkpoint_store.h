@@ -63,7 +63,7 @@
 #include <vector>
 
 #include "src/common/types.h"
-#include "src/obs/metrics.h"
+#include "src/obs/emitter.h"
 #include "src/ps/clock_table.h"  // For the Clock alias.
 #include "src/ps/model.h"
 
@@ -185,7 +185,8 @@ class CheckpointStore {
  public:
   explicit CheckpointStore(DurableDevice* device, CheckpointStoreConfig config = {});
 
-  // Registers checkpoint.* metrics; nullptr detaches.
+  // Registers checkpoint.* metrics in `metrics` (nullptr: the default
+  // registry).
   void SetObservability(obs::MetricsRegistry* metrics);
 
   // Serializes the model as one shard, writes it + a manifest, commits
@@ -233,7 +234,10 @@ class CheckpointStore {
   // later epoch would reference a chunk that was never fully written.
   std::map<int, std::uint64_t> committed_versions_;
 
-  obs::MetricsRegistry* metrics_ = nullptr;
+  // Re-resolves the cached metric handles against obs_'s registry.
+  void BindMetrics();
+
+  obs::Emitter obs_;
   obs::Counter* bytes_written_counter_ = nullptr;
   obs::Counter* bytes_restored_counter_ = nullptr;
   obs::Counter* chunks_written_counter_ = nullptr;

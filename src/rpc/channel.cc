@@ -4,6 +4,11 @@
 
 namespace proteus {
 
+Channel::Channel() {
+  std::lock_guard<std::mutex> lock(mu_);
+  BindMetrics();
+}
+
 void Channel::Send(const Message& message) {
   ChannelFault fault;
   {
@@ -15,43 +20,31 @@ void Channel::Send(const Message& message) {
     std::vector<std::uint8_t> frame = EncodeMessage(message);
     bytes_sent_ += frame.size();
     ++messages_sent_;
-    if (obs::Counter* c = sent_counters_.For(type)) {
-      c->Increment();
-    }
-    if (obs::Counter* c = bytes_counters_.For(type)) {
-      c->Add(frame.size());
-    }
+    sent_counters_.For(type)->Increment();
+    bytes_counters_.For(type)->Add(frame.size());
     const auto ledger_send = [&](const char* outcome) {
-      if (ledger_ != nullptr) {
-        ledger_->Record("rpc.send", "rpc", 0.0,
-                        {{"channel", ledger_name_},
-                         {"type", std::string(MessageTypeName(type))},
-                         {"bytes", static_cast<std::int64_t>(frame.size())},
-                         {"outcome", std::string(outcome)}});
-      }
+      obs_.Event("rpc.send", "rpc", 0.0,
+                 {{"channel", name_},
+                  {"type", std::string(MessageTypeName(type))},
+                  {"bytes", static_cast<std::int64_t>(frame.size())},
+                  {"outcome", std::string(outcome)}});
     };
     switch (fault.action) {
       case ChannelFault::Action::kDrop:
         ++messages_dropped_;
-        if (obs::Counter* c = dropped_counters_.For(type)) {
-          c->Increment();
-        }
+        dropped_counters_.For(type)->Increment();
         ledger_send("drop");
         return;
       case ChannelFault::Action::kDelay:
         ++messages_delayed_;
-        if (obs::Counter* c = delayed_counters_.For(type)) {
-          c->Increment();
-        }
+        delayed_counters_.For(type)->Increment();
         ledger_send("delay");
         queue_.push_back({std::move(frame), type, std::max(0, fault.delay_polls)});
         return;
       case ChannelFault::Action::kDuplicate: {
         const int copies = std::max(1, fault.copies);
         messages_duplicated_ += static_cast<std::uint64_t>(copies - 1);
-        if (obs::Counter* c = duplicated_counters_.For(type)) {
-          c->Add(static_cast<std::uint64_t>(copies - 1));
-        }
+        duplicated_counters_.For(type)->Add(static_cast<std::uint64_t>(copies - 1));
         ledger_send("dup");
         for (int i = 1; i < copies; ++i) {
           queue_.push_back({frame, type, 0});
@@ -88,47 +81,46 @@ std::optional<Message> Channel::Poll() {
     const MessageType type = ready->type;
     queue_.erase(ready);
     ++messages_delivered_;
-    if (obs::Counter* c = delivered_counters_.For(type)) {
-      c->Increment();
-    }
+    delivered_counters_.For(type)->Increment();
   }
   return DecodeMessage(frame);
 }
 
 void Channel::SetObservability(obs::MetricsRegistry* metrics, const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  sent_counters_ = {};
-  bytes_counters_ = {};
-  delivered_counters_ = {};
-  dropped_counters_ = {};
-  delayed_counters_ = {};
-  duplicated_counters_ = {};
-  if (metrics == nullptr) {
-    return;
-  }
+  obs_.SetMetrics(metrics);
+  name_ = name;
+  BindMetrics();
+}
+
+void Channel::SetLedger(obs::EventLedger* ledger, const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  obs_.SetLedger(ledger);
+  name_ = name;
+}
+
+void Channel::BindMetrics() {
   constexpr MessageType kAllTypes[] = {
       MessageType::kAppCharacteristics, MessageType::kAllocationRequest,
       MessageType::kAllocationGrant,    MessageType::kEvictionNotice,
       MessageType::kReadParam,          MessageType::kParamValue,
       MessageType::kUpdateParam,        MessageType::kWorkerReady,
       MessageType::kShardDelta,         MessageType::kReliableFrame};
-  for (const MessageType type : kAllTypes) {
-    const obs::Labels labels = {{"channel", name}, {"type", MessageTypeName(type)}};
-    const auto idx = static_cast<std::size_t>(type);
-    sent_counters_.by_type[idx] = metrics->GetCounter("rpc.messages.sent", labels);
-    bytes_counters_.by_type[idx] = metrics->GetCounter("rpc.bytes.sent", labels);
-    delivered_counters_.by_type[idx] = metrics->GetCounter("rpc.messages.delivered", labels);
-    dropped_counters_.by_type[idx] = metrics->GetCounter("rpc.messages.dropped", labels);
-    delayed_counters_.by_type[idx] = metrics->GetCounter("rpc.messages.delayed", labels);
-    duplicated_counters_.by_type[idx] =
-        metrics->GetCounter("rpc.messages.duplicated", labels);
+  TypeCounters* const all[] = {&sent_counters_,    &bytes_counters_,   &delivered_counters_,
+                               &dropped_counters_, &delayed_counters_, &duplicated_counters_};
+  for (TypeCounters* counters : all) {
+    counters->by_type.fill(&unlisted_);
   }
-}
-
-void Channel::SetLedger(obs::EventLedger* ledger, const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ledger_ = ledger;
-  ledger_name_ = name;
+  for (const MessageType type : kAllTypes) {
+    const obs::Labels labels = {{"channel", name_}, {"type", MessageTypeName(type)}};
+    const auto idx = static_cast<std::size_t>(type);
+    sent_counters_.by_type[idx] = obs_.GetCounter("rpc.messages.sent", labels);
+    bytes_counters_.by_type[idx] = obs_.GetCounter("rpc.bytes.sent", labels);
+    delivered_counters_.by_type[idx] = obs_.GetCounter("rpc.messages.delivered", labels);
+    dropped_counters_.by_type[idx] = obs_.GetCounter("rpc.messages.dropped", labels);
+    delayed_counters_.by_type[idx] = obs_.GetCounter("rpc.messages.delayed", labels);
+    duplicated_counters_.by_type[idx] = obs_.GetCounter("rpc.messages.duplicated", labels);
+  }
 }
 
 void Channel::SetFaultHook(ChannelFaultHook hook) {

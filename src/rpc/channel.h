@@ -20,8 +20,7 @@
 #include <optional>
 #include <string>
 
-#include "src/obs/ledger.h"
-#include "src/obs/metrics.h"
+#include "src/obs/emitter.h"
 #include "src/rpc/messages.h"
 
 namespace proteus {
@@ -43,6 +42,8 @@ using ChannelFaultHook = std::function<ChannelFault(const Message&)>;
 
 class Channel {
  public:
+  Channel();
+
   // Frames and enqueues the message (subject to the fault hook).
   void Send(const Message& message);
 
@@ -56,7 +57,7 @@ class Channel {
 
   // Registers per-message-type counters (rpc.messages.sent / .delivered /
   // .dropped / .delayed and rpc.bytes.sent) labeled with this channel's
-  // name in `metrics`. Pass nullptr to detach.
+  // name in `metrics`. Pass nullptr to count into the default registry.
   void SetObservability(obs::MetricsRegistry* metrics, const std::string& name);
 
   // Attaches the causal event ledger: every Send() records an
@@ -86,17 +87,20 @@ class Channel {
   // Cached counter handles for one outcome, indexed by message type tag.
   struct TypeCounters {
     std::array<obs::Counter*, 16> by_type{};
-    obs::Counter* For(MessageType type) {
-      const auto idx = static_cast<std::size_t>(type);
-      return idx < by_type.size() ? by_type[idx] : nullptr;
-    }
+    obs::Counter* For(MessageType type) { return by_type.at(static_cast<std::size_t>(type)); }
   };
+
+  // Re-resolves every TypeCounters handle against obs_'s registry under
+  // name_. Caller holds mu_.
+  void BindMetrics();
 
   mutable std::mutex mu_;
   std::deque<Entry> queue_;
   ChannelFaultHook fault_hook_;
-  obs::EventLedger* ledger_ = nullptr;
-  std::string ledger_name_;
+  obs::Emitter obs_;
+  std::string name_;  // The "channel" label and ledger arg.
+  // Message types without a registered series count here, unread.
+  obs::Counter unlisted_;
   TypeCounters sent_counters_;
   TypeCounters bytes_counters_;
   TypeCounters delivered_counters_;

@@ -18,6 +18,7 @@ ReliableChannel::ReliableChannel(Channel* data, Channel* ack, ReliableChannelCon
   PROTEUS_CHECK_GE(config_.backoff, 1.0);
   PROTEUS_CHECK(config_.jitter >= 0.0 && config_.jitter < 1.0);
   PROTEUS_CHECK_GE(config_.max_sacks, 0);
+  BindMetrics();
 }
 
 void ReliableChannel::Send(const Message& message, double now) {
@@ -36,13 +37,10 @@ void ReliableChannel::RefillWindow(double now) {
     entry.attempts = 1;
     entry.first_sent = now;
     entry.next_retx = now + NextTimeout(1);
-    if (ledger_ != nullptr) {
-      entry.send_event = ledger_->Record(
-          "rpc.send.reliable", "rpc", now,
-          {{"channel", ledger_name_},
-           {"seq", static_cast<std::int64_t>(seq)},
-           {"bytes", static_cast<std::int64_t>(entry.payload.size())}});
-    }
+    entry.send_event = obs_.Event("rpc.send.reliable", "rpc", now,
+                                  {{"channel", name_},
+                                   {"seq", static_cast<std::int64_t>(seq)},
+                                   {"bytes", static_cast<std::int64_t>(entry.payload.size())}});
     SendDataFrame(seq, entry);
     in_flight_.emplace(seq, std::move(entry));
   }
@@ -105,14 +103,9 @@ void ReliableChannel::AcceptData(ReliableFrameMsg frame, double now) {
   const std::uint64_t seq = frame.seq;
   if (seq <= received_up_to_ || out_of_order_.count(seq) > 0) {
     ++dup_suppressed_;
-    if (dup_suppressed_counter_ != nullptr) {
-      dup_suppressed_counter_->Increment();
-    }
-    if (ledger_ != nullptr) {
-      ledger_->Record("rpc.dup_suppressed", "rpc", now,
-                      {{"channel", ledger_name_},
-                       {"seq", static_cast<std::int64_t>(seq)}});
-    }
+    dup_suppressed_counter_->Increment();
+    obs_.Event("rpc.dup_suppressed", "rpc", now,
+               {{"channel", name_}, {"seq", static_cast<std::int64_t>(seq)}});
     // Re-ack so the sender learns this frame landed even if the
     // original ack was lost.
     SendAckFrame();
@@ -150,21 +143,11 @@ void ReliableChannel::Tick(double now) {
     ++entry.attempts;
     ++retransmits_;
     retransmit_log_.push_back({seq, entry.attempts, now});
-    if (retransmits_counter_ != nullptr) {
-      retransmits_counter_->Increment();
-    }
-    if (tracer_ != nullptr) {
-      tracer_->InstantAt(now, "rpc.retransmit", "rpc",
-                         {{"seq", static_cast<std::int64_t>(seq)},
+    retransmits_counter_->Increment();
+    obs_.EventWithParent("rpc.retransmit", "rpc", now, entry.send_event,
+                         {{"channel", name_},
+                          {"seq", static_cast<std::int64_t>(seq)},
                           {"attempt", static_cast<std::int64_t>(entry.attempts)}});
-    }
-    if (ledger_ != nullptr) {
-      ledger_->RecordWithParent(
-          "rpc.retransmit", "rpc", now, entry.send_event,
-          {{"channel", ledger_name_},
-           {"seq", static_cast<std::int64_t>(seq)},
-           {"attempt", static_cast<std::int64_t>(entry.attempts)}});
-    }
     entry.next_retx = now + NextTimeout(entry.attempts);
     SendDataFrame(seq, entry);
   }
@@ -179,23 +162,14 @@ void ReliableChannel::HandleAck(const ReliableFrameMsg& frame, double now) {
     }
     // Karn's rule: only first-attempt acks yield unambiguous RTT
     // samples.
-    if (it->second.attempts == 1 && ack_rtt_hist_ != nullptr) {
+    if (it->second.attempts == 1) {
       ack_rtt_hist_->Observe(now - it->second.first_sent);
     }
-    if (tracer_ != nullptr) {
-      tracer_->SpanAt(it->second.first_sent, now - it->second.first_sent,
-                      "rpc.delivery", "rpc",
-                      {{"seq", static_cast<std::int64_t>(seq)},
-                       {"attempts", static_cast<std::int64_t>(it->second.attempts)}});
-    }
-    if (ledger_ != nullptr) {
-      ledger_->RecordWithParent(
-          "rpc.delivery", "rpc", now, it->second.send_event,
-          {{"channel", ledger_name_},
-           {"seq", static_cast<std::int64_t>(seq)},
-           {"attempts", static_cast<std::int64_t>(it->second.attempts)},
-           {"rtt", now - it->second.first_sent}});
-    }
+    obs_.EventWithParent("rpc.delivery", "rpc", now, it->second.send_event,
+                         {{"channel", name_},
+                          {"seq", static_cast<std::int64_t>(seq)},
+                          {"attempts", static_cast<std::int64_t>(it->second.attempts)},
+                          {"rtt", now - it->second.first_sent}});
     in_flight_.erase(it);
   };
   while (!in_flight_.empty() && in_flight_.begin()->first <= frame.cum_ack) {
@@ -212,23 +186,23 @@ bool ReliableChannel::Quiescent() const {
 }
 
 void ReliableChannel::SetLedger(obs::EventLedger* ledger, const std::string& name) {
-  ledger_ = ledger;
-  ledger_name_ = name;
+  obs_.SetLedger(ledger);
+  name_ = name;
 }
 
 void ReliableChannel::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry* metrics,
                                        const std::string& name) {
-  tracer_ = tracer;
-  retransmits_counter_ = nullptr;
-  dup_suppressed_counter_ = nullptr;
-  ack_rtt_hist_ = nullptr;
-  if (metrics == nullptr) {
-    return;
-  }
-  const obs::Labels labels = {{"channel", name}};
-  retransmits_counter_ = metrics->GetCounter("rpc.retransmits", labels);
-  dup_suppressed_counter_ = metrics->GetCounter("rpc.dup_delivered_suppressed", labels);
-  ack_rtt_hist_ = metrics->GetHistogram(
+  obs_.SetTracer(tracer);
+  obs_.SetMetrics(metrics);
+  name_ = name;
+  BindMetrics();
+}
+
+void ReliableChannel::BindMetrics() {
+  const obs::Labels labels = {{"channel", name_}};
+  retransmits_counter_ = obs_.GetCounter("rpc.retransmits", labels);
+  dup_suppressed_counter_ = obs_.GetCounter("rpc.dup_delivered_suppressed", labels);
+  ack_rtt_hist_ = obs_.GetHistogram(
       "rpc.ack_rtt", {0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0}, labels);
 }
 

@@ -33,9 +33,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/obs/ledger.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/emitter.h"
 #include "src/rpc/channel.h"
 #include "src/rpc/messages.h"
 
@@ -155,9 +153,11 @@ class ReliableChannel {
   std::uint64_t messages_delivered_ = 0;
   std::vector<RetransmitRecord> retransmit_log_;
 
-  obs::Tracer* tracer_ = nullptr;
-  obs::EventLedger* ledger_ = nullptr;
-  std::string ledger_name_;
+  // Re-resolves the cached metric handles against obs_'s registry.
+  void BindMetrics();
+
+  obs::Emitter obs_;
+  std::string name_;  // The "channel" label and ledger arg.
   obs::Counter* retransmits_counter_ = nullptr;
   obs::Counter* dup_suppressed_counter_ = nullptr;
   obs::Histogram* ack_rtt_hist_ = nullptr;

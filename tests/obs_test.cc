@@ -137,17 +137,6 @@ TEST(Tracer, SpanTotalFiltersByNameAndArg) {
   EXPECT_DOUBLE_EQ(tracer.SpanTotal("recovery", "class", "absent"), 0.0);
 }
 
-TEST(Tracer, BoundClockDrivesInstant) {
-  double sim_now = 42.0;
-  Tracer tracer([&sim_now] { return sim_now; });
-  tracer.Instant("decision", "bidbrain");
-  sim_now = 43.5;
-  tracer.Instant("decision", "bidbrain");
-  ASSERT_EQ(tracer.size(), 2u);
-  EXPECT_DOUBLE_EQ(tracer.events()[0].ts, 42.0);
-  EXPECT_DOUBLE_EQ(tracer.events()[1].ts, 43.5);
-}
-
 }  // namespace
 }  // namespace obs
 }  // namespace proteus

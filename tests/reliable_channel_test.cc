@@ -210,8 +210,8 @@ TEST(ReliableChannelTest, RetransmitScheduleIsDeterministic) {
     }
     EXPECT_EQ(a.retransmits, b.retransmits) << "seed " << seed;
     EXPECT_EQ(a.dup_suppressed, b.dup_suppressed) << "seed " << seed;
-    // Same schedule => byte-identical trace (retransmit instants and
-    // delivery spans included).
+    // Same schedule => byte-identical trace (send, retransmit and
+    // delivery instants included).
     EXPECT_EQ(ta.ToChromeJson(), tb.ToChromeJson()) << "seed " << seed;
     EXPECT_GT(a.log.size(), 0U) << "seed " << seed << ": schedule never retransmitted";
   }
