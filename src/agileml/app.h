@@ -16,38 +16,46 @@
 
 #include "src/common/rng.h"
 #include "src/common/types.h"
-#include "src/ps/access_tracker.h"
 #include "src/ps/clock_table.h"
 #include "src/ps/model.h"
 
 namespace proteus {
 
+// Rows one node's workers touched during one clock, appended in access
+// order with repeats. At the end of the node's clock the runtime sorts
+// and dedups both lists and charges each distinct row one fetch and one
+// flush: the worker-side cache with write-back coalescing of §2.1.
+struct AccessLog {
+  std::vector<RowKey> reads;
+  std::vector<RowKey> updates;
+};
+
 // Handle through which application worker code reads and updates model
-// parameters. Reads are cached and updates write-back-coalesced per
-// clock, which the runtime turns into network bytes; the arithmetic is
-// applied to the authoritative store immediately.
+// parameters. Every call appends the row's key to the node's AccessLog,
+// which the runtime turns into network bytes; the arithmetic is applied
+// to the authoritative store immediately.
 class WorkerContext {
  public:
-  WorkerContext(NodeId node, ModelStore* model, AccessTracker* tracker, Rng rng)
-      : node_(node), model_(model), tracker_(tracker), rng_(rng) {}
+  WorkerContext(NodeId node, ModelStore* model, AccessLog* log, Rng rng)
+      : node_(node), model_(model), log_(log), rng_(rng) {}
 
   // Returns the current row value. The span is valid until the next Read
   // on this context.
   std::span<const float> Read(int table, std::int64_t row) {
-    tracker_->RecordRead(table, row);
+    log_->reads.push_back(MakeRowKey(table, row));
     model_->ReadRow(table, row, scratch_);
     return scratch_;
   }
 
   // Reads into a caller-owned buffer, for apps that need two rows live.
   void ReadInto(int table, std::int64_t row, std::vector<float>& out) {
-    tracker_->RecordRead(table, row);
+    log_->reads.push_back(MakeRowKey(table, row));
     model_->ReadRow(table, row, out);
   }
 
   // Applies a component-wise additive delta.
   void Update(int table, std::int64_t row, std::span<const float> delta) {
-    tracker_->RecordUpdate(table, row);
+    log_->updates.push_back(MakeRowKey(table, row));
     model_->ApplyDelta(table, row, delta);
   }
 
@@ -57,7 +65,7 @@ class WorkerContext {
  private:
   NodeId node_;
   ModelStore* model_;
-  AccessTracker* tracker_;
+  AccessLog* log_;
   Rng rng_;
   std::vector<float> scratch_;
 };

@@ -12,6 +12,20 @@ namespace {
 std::uint64_t HashCombine(std::uint64_t a, std::uint64_t b) {
   return a ^ (b + 0x9E3779B97F4A7C15ULL + (a << 6) + (a >> 2));
 }
+
+// Sorts and dedups one node's logged keys, then adds each distinct row's
+// wire bytes (row_bytes, per table) to its partition's tally.
+void TallyDistinctRows(std::vector<RowKey>& keys, const ModelStore& model,
+                       const std::vector<std::uint64_t>& row_bytes,
+                       std::vector<std::uint64_t>& tally) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  for (const RowKey key : keys) {
+    const int table = TableOfKey(key);
+    const PartitionId p = model.PartitionOf(table, RowOfKey(key));
+    tally[static_cast<std::size_t>(p)] += row_bytes[static_cast<std::size_t>(table)];
+  }
+}
 }  // namespace
 
 AgileMLRuntime::AgileMLRuntime(MLApp* app, AgileMLConfig config,
@@ -667,10 +681,16 @@ IterationReport AgileMLRuntime::RunClock() {
   }
 
   // --- Worker execution (real arithmetic, virtual compute time) ---
+  // Each worker slot logs its node's row accesses, then tallies the
+  // distinct rows into per-partition pull/push bytes in the same task.
   std::vector<NodeId> workers(roles_.worker_nodes.begin(), roles_.worker_nodes.end());
-  std::map<NodeId, AccessTracker> trackers;
-  for (const NodeId w : workers) {
-    trackers[w];  // Pre-create: no rehash during the parallel section.
+  if (slots_.size() < workers.size()) {
+    slots_.resize(workers.size());  // Before the parallel section.
+  }
+  const auto num_partitions = static_cast<std::size_t>(config_.num_partitions);
+  std::vector<std::uint64_t> row_bytes;
+  for (const TableSpec& spec : model_.tables()) {
+    row_bytes.push_back(model_.RowBytes(spec.table_id));
   }
   const int minibatches = std::max(1, config_.minibatches_per_pass);
   const int phase = static_cast<int>(clock_ % minibatches);
@@ -681,55 +701,52 @@ IterationReport AgileMLRuntime::RunClock() {
     slice.end = range.begin + range.size() * (phase + 1) / minibatches;
     return slice;
   };
-  auto run_node = [&](const NodeId w) {
-    AccessTracker& tracker = trackers[w];
-    tracker.Clear();
+  auto run_node = [&](const std::size_t i) {
+    const NodeId w = workers[i];
+    WorkerSlot& slot = slots_[i];
+    slot.log.reads.clear();
+    slot.log.updates.clear();
+    slot.pull_bytes.assign(num_partitions, 0);
+    slot.push_bytes.assign(num_partitions, 0);
     if (revoked_.count(w) > 0) {
       return;  // Revoked with zero warning: the node executes nothing.
     }
     const std::uint64_t stream =
         HashCombine(config_.seed, HashCombine(static_cast<std::uint64_t>(w),
                                               static_cast<std::uint64_t>(clock_)));
-    WorkerContext ctx(w, &model_, &tracker, Rng(stream));
+    WorkerContext ctx(w, &model_, &slot.log, Rng(stream));
     for (const ItemRange& range : data_.RangesOf(w)) {
       const ItemRange slice = clock_slice(range);
       if (slice.size() > 0) {
         app_->ProcessRange(ctx, slice.begin, slice.end);
       }
     }
+    TallyDistinctRows(slot.log.reads, model_, row_bytes, slot.pull_bytes);
+    TallyDistinctRows(slot.log.updates, model_, row_bytes, slot.push_bytes);
   };
   if (pool_ != nullptr) {
-    pool_->ParallelFor(workers.size(), [&](std::size_t i) { run_node(workers[i]); });
+    pool_->ParallelFor(workers.size(), run_node);
   } else {
-    for (const NodeId w : workers) {
-      run_node(w);
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+      run_node(i);
     }
   }
 
   // --- Communication accounting ---
   // Reads: server egress -> worker ingress; updates: worker egress ->
-  // server ingress. Distinct rows per clock thanks to the worker-side
-  // cache (write-back coalescing).
+  // server ingress. At most one of each per (worker, partition) pair:
+  // zero tallies and self-transfers are free.
   std::uint64_t pull_bytes = 0;  // Server -> worker (parameter reads).
   std::uint64_t push_bytes = 0;  // Worker -> server (update write-backs).
   const std::vector<NodeId> server_of = roles_.ServerByPartition(config_.num_partitions);
-  for (const NodeId w : workers) {
-    const AccessTracker& tracker = trackers[w];
-    for (const RowKey key : tracker.reads()) {
-      const int table = TableOfKey(key);
-      const PartitionId p = model_.PartitionOf(table, RowOfKey(key));
-      const std::uint64_t bytes = model_.RowBytes(table);
-      pull_bytes += bytes;
-      fabric_.RecordTransfer(server_of[static_cast<std::size_t>(p)], w, bytes,
-                             TrafficClass::kForeground);
-    }
-    for (const RowKey key : tracker.updates()) {
-      const int table = TableOfKey(key);
-      const PartitionId p = model_.PartitionOf(table, RowOfKey(key));
-      const std::uint64_t bytes = model_.RowBytes(table);
-      push_bytes += bytes;
-      fabric_.RecordTransfer(w, server_of[static_cast<std::size_t>(p)], bytes,
-                             TrafficClass::kForeground);
+  for (std::size_t i = 0; i < workers.size(); ++i) {
+    const NodeId w = workers[i];
+    const WorkerSlot& slot = slots_[i];
+    for (std::size_t p = 0; p < num_partitions; ++p) {
+      pull_bytes += slot.pull_bytes[p];
+      push_bytes += slot.push_bytes[p];
+      fabric_.RecordTransfer(server_of[p], w, slot.pull_bytes[p], TrafficClass::kForeground);
+      fabric_.RecordTransfer(w, server_of[p], slot.push_bytes[p], TrafficClass::kForeground);
     }
   }
   pull_bytes_counter_->Add(pull_bytes);

@@ -266,6 +266,15 @@ class AgileMLRuntime {
     bool stall = false;
   };
 
+  // One RunClock worker's access log and its distinct rows' wire bytes
+  // per partition, indexed by the worker's position in the clock's
+  // worker list and reused across clocks.
+  struct WorkerSlot {
+    AccessLog log;
+    std::vector<std::uint64_t> pull_bytes;  // Server -> worker.
+    std::vector<std::uint64_t> push_bytes;  // Worker -> server.
+  };
+
   struct Checkpoint {
     std::vector<std::uint8_t> blob;  // ModelStore::SerializeCheckpoint().
     Clock clock = 0;
@@ -320,6 +329,7 @@ class AgileMLRuntime {
 
   ControlPlaneLog control_log_;
   std::vector<QueuedTransfer> queued_;
+  std::vector<WorkerSlot> slots_;
   std::optional<Checkpoint> checkpoint_;
   // Bytes of the most recent background active->backup stream per
   // partition. The stream is asynchronous, so on an eviction-driven
