@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot operations of the
 // parameter-server substrate: row reads/updates, backup sync, checkpoint
-// serialize/write/restore, fabric accounting, and cost-model evaluation.
+// serialize/write/restore, fabric accounting, cost-model evaluation, and
+// one MF and one MLR clock through the runtime.
 //
 // Two modes:
 //   micro_ops [gbench flags]          normal google-benchmark run
@@ -215,6 +216,37 @@ void BM_MfProcessClock(benchmark::State& state) {
 }
 BENCHMARK(BM_MfProcessClock);
 
+// One single-node sequential MLR clock at the spot_mlr benchmark's model
+// shape (16 classes x 512 dims), so nearly all of it is the dense kernel.
+struct MlrClockFixture {
+  static FeaturesConfig Features() {
+    FeaturesConfig fc;
+    fc.samples = 4096;
+    fc.dim = 512;
+    fc.classes = 16;
+    return fc;
+  }
+  static AgileMLConfig Config() {
+    AgileMLConfig config;
+    config.num_partitions = 8;
+    config.parallel_execution = false;
+    return config;
+  }
+
+  FeaturesDataset data = GenerateFeatures(Features());
+  MultinomialLogRegApp app{&data, MlrConfig{}};
+  AgileMLRuntime runtime{&app, Config(), {{0, Tier::kReliable, 8, kInvalidAllocation}}};
+};
+
+void BM_MlrProcessClock(benchmark::State& state) {
+  MlrClockFixture fixture;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fixture.runtime.RunClock().duration);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * fixture.data.size());
+}
+BENCHMARK(BM_MlrProcessClock);
+
 // --- --bench_json mode: the headline numbers CI tracks as an artifact.
 // Self-timed (steady_clock) instead of going through google-benchmark so
 // the output schema is ours and stays stable across benchmark-library
@@ -284,6 +316,15 @@ std::vector<bench::BenchJsonRow> RunJsonBenches() {
       benchmark::DoNotOptimize(loaded->bytes_read);
     });
     rows.push_back({"checkpoint_restore", "mb_per_sec", bytes / spi / 1e6, "MB/s"});
+  }
+
+  // One MLR clock through the runtime, in samples/s.
+  {
+    MlrClockFixture fixture;
+    const double spi = SecondsPerIter(
+        [&] { benchmark::DoNotOptimize(fixture.runtime.RunClock().duration); });
+    rows.push_back({"mlr_process_clock", "items_per_sec",
+                    static_cast<double>(fixture.data.size()) / spi, "items/s"});
   }
   return rows;
 }

@@ -3,23 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/apps/dense_kernels.h"
 #include "src/common/logging.h"
 
 namespace proteus {
-
-namespace {
-void Softmax(std::vector<double>& logits) {
-  const double max_logit = *std::max_element(logits.begin(), logits.end());
-  double total = 0.0;
-  for (double& l : logits) {
-    l = std::exp(l - max_logit);
-    total += l;
-  }
-  for (double& l : logits) {
-    l /= total;
-  }
-}
-}  // namespace
 
 DnnApp::DnnApp(const FeaturesDataset* data, DnnConfig config) : data_(data), config_(config) {
   PROTEUS_CHECK(data != nullptr);
@@ -84,11 +71,7 @@ void DnnApp::ProcessRange(WorkerContext& ctx, std::int64_t begin, std::int64_t e
     const std::int32_t y = data_->label[static_cast<std::size_t>(n)];
     // Forward.
     for (int h = 0; h < hidden; ++h) {
-      const float* w1h = &w.w1[static_cast<std::size_t>(h) * dim];
-      double z = 0.0;
-      for (int j = 0; j < dim; ++j) {
-        z += static_cast<double>(w1h[j]) * x[j];
-      }
+      const double z = Dot(&w.w1[static_cast<std::size_t>(h) * dim], x, dim);
       act[static_cast<std::size_t>(h)] = z > 0.0 ? z : 0.0;  // ReLU.
     }
     for (int c = 0; c < classes; ++c) {
@@ -99,7 +82,7 @@ void DnnApp::ProcessRange(WorkerContext& ctx, std::int64_t begin, std::int64_t e
       }
       logits[static_cast<std::size_t>(c)] = z;
     }
-    Softmax(logits);
+    SoftmaxInPlace(logits);
     // Backward.
     std::fill(hidden_grad.begin(), hidden_grad.end(), 0.0);
     for (int c = 0; c < classes; ++c) {
@@ -115,11 +98,8 @@ void DnnApp::ProcessRange(WorkerContext& ctx, std::int64_t begin, std::int64_t e
       if (act[static_cast<std::size_t>(h)] <= 0.0) {
         continue;  // ReLU gate.
       }
-      float* g1h = &g1[static_cast<std::size_t>(h) * dim];
-      const auto coeff = static_cast<float>(hidden_grad[static_cast<std::size_t>(h)]);
-      for (int j = 0; j < dim; ++j) {
-        g1h[j] += coeff * x[j];
-      }
+      Axpy(static_cast<float>(hidden_grad[static_cast<std::size_t>(h)]), x,
+           &g1[static_cast<std::size_t>(h) * dim], dim);
     }
   }
 
@@ -156,11 +136,7 @@ double DnnApp::SampleLoss(const Weights& w, std::int64_t index) const {
   const float* x = data_->Sample(index);
   std::vector<double> act(static_cast<std::size_t>(hidden));
   for (int h = 0; h < hidden; ++h) {
-    const float* w1h = &w.w1[static_cast<std::size_t>(h) * dim];
-    double z = 0.0;
-    for (int j = 0; j < dim; ++j) {
-      z += static_cast<double>(w1h[j]) * x[j];
-    }
+    const double z = Dot(&w.w1[static_cast<std::size_t>(h) * dim], x, dim);
     act[static_cast<std::size_t>(h)] = z > 0.0 ? z : 0.0;
   }
   std::vector<double> logits(static_cast<std::size_t>(classes));
@@ -172,7 +148,7 @@ double DnnApp::SampleLoss(const Weights& w, std::int64_t index) const {
     }
     logits[static_cast<std::size_t>(c)] = z;
   }
-  Softmax(logits);
+  SoftmaxInPlace(logits);
   const std::int32_t y = data_->label[static_cast<std::size_t>(index)];
   return -std::log(std::max(logits[static_cast<std::size_t>(y)], 1e-12));
 }

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
+#include "src/apps/dense_kernels.h"
 #include "src/common/logging.h"
 
 namespace proteus {
@@ -25,73 +28,52 @@ double MultinomialLogRegApp::CostPerItem() const {
          static_cast<double>(data_->config.dim);
 }
 
-namespace {
-// Computes softmax probabilities in place from logits.
-void SoftmaxInPlace(std::vector<double>& logits) {
-  const double max_logit = *std::max_element(logits.begin(), logits.end());
-  double total = 0.0;
-  for (double& l : logits) {
-    l = std::exp(l - max_logit);
-    total += l;
-  }
-  for (double& l : logits) {
-    l /= total;
-  }
-}
-}  // namespace
-
 void MultinomialLogRegApp::ProcessRange(WorkerContext& ctx, std::int64_t begin,
                                         std::int64_t end) {
-  const int classes = data_->config.classes;
-  const int dim = data_->config.dim;
-  const auto batch = static_cast<double>(end - begin);
-  if (batch <= 0) {
+  if (end <= begin) {
     return;
   }
+  const int classes = data_->config.classes;
+  const int dim = data_->config.dim;
+  const auto matrix = static_cast<std::size_t>(classes) * static_cast<std::size_t>(dim);
+  // One scratch buffer per range: the weight matrix, its gradient, and one
+  // update row, at fixed offsets from each other.
+  std::vector<float> scratch(2 * matrix + static_cast<std::size_t>(dim), 0.0F);
+  float* const w = scratch.data();
+  float* const grad = w + matrix;
+  float* const delta = grad + matrix;
   // Fetch the full weight matrix once (one read per row per clock).
-  std::vector<float> w(static_cast<std::size_t>(classes) * dim);
-  std::vector<float> row;
   for (int c = 0; c < classes; ++c) {
-    ctx.ReadInto(kTableW, c, row);
-    std::copy(row.begin(), row.end(), w.begin() + static_cast<std::size_t>(c) * dim);
+    const std::span<const float> row = ctx.Read(kTableW, c);
+    std::copy(row.begin(), row.end(), w + static_cast<std::size_t>(c) * dim);
   }
-  std::vector<float> grad(static_cast<std::size_t>(classes) * dim, 0.0F);
   std::vector<double> logits(static_cast<std::size_t>(classes));
 
   for (std::int64_t n = begin; n < end; ++n) {
     const float* x = data_->Sample(n);
     const std::int32_t y = data_->label[static_cast<std::size_t>(n)];
     for (int c = 0; c < classes; ++c) {
-      const float* wc = &w[static_cast<std::size_t>(c) * dim];
-      double dot = 0.0;
-      for (int d = 0; d < dim; ++d) {
-        dot += static_cast<double>(wc[d]) * static_cast<double>(x[d]);
-      }
-      logits[static_cast<std::size_t>(c)] = dot;
+      logits[static_cast<std::size_t>(c)] = Dot(w + static_cast<std::size_t>(c) * dim, x, dim);
     }
     SoftmaxInPlace(logits);
     for (int c = 0; c < classes; ++c) {
       const auto coeff = static_cast<float>(logits[static_cast<std::size_t>(c)] -
                                             (c == y ? 1.0 : 0.0));
-      float* gc = &grad[static_cast<std::size_t>(c) * dim];
-      for (int d = 0; d < dim; ++d) {
-        gc[d] += coeff * x[d];
-      }
+      Axpy(coeff, x, grad + static_cast<std::size_t>(c) * dim, dim);
     }
   }
 
   // One coalesced update per weight row: -lr * (grad/batch + reg * w).
   const auto lr = static_cast<float>(config_.learning_rate);
   const auto reg = static_cast<float>(config_.regularization);
-  std::vector<float> delta(static_cast<std::size_t>(dim));
+  const auto batch = static_cast<float>(end - begin);
   for (int c = 0; c < classes; ++c) {
-    const float* gc = &grad[static_cast<std::size_t>(c) * dim];
-    const float* wc = &w[static_cast<std::size_t>(c) * dim];
+    const float* gc = grad + static_cast<std::size_t>(c) * dim;
+    const float* wc = w + static_cast<std::size_t>(c) * dim;
     for (int d = 0; d < dim; ++d) {
-      delta[static_cast<std::size_t>(d)] =
-          -lr * (gc[d] / static_cast<float>(batch) + reg * wc[d]);
+      delta[d] = -lr * (gc[d] / batch + reg * wc[d]);
     }
-    ctx.Update(kTableW, c, delta);
+    ctx.Update(kTableW, c, std::span<const float>(delta, static_cast<std::size_t>(dim)));
   }
 }
 
@@ -111,12 +93,7 @@ double MultinomialLogRegApp::ComputeObjective(const ModelStore& model) const {
   for (std::int64_t n = 0; n < sample; ++n) {
     const float* x = data_->Sample(n);
     for (int c = 0; c < classes; ++c) {
-      const float* wc = &w[static_cast<std::size_t>(c) * dim];
-      double dot = 0.0;
-      for (int d = 0; d < dim; ++d) {
-        dot += static_cast<double>(wc[d]) * static_cast<double>(x[d]);
-      }
-      logits[static_cast<std::size_t>(c)] = dot;
+      logits[static_cast<std::size_t>(c)] = Dot(&w[static_cast<std::size_t>(c) * dim], x, dim);
     }
     SoftmaxInPlace(logits);
     const std::int32_t y = data_->label[static_cast<std::size_t>(n)];

@@ -4,6 +4,11 @@
 // library, each ProcessRange reads the K weight rows once per clock,
 // accumulates the mini-batch gradient locally, and write-back-coalesces
 // one update per row.
+//
+// The per-sample work is K dots for the logits and K gradient axpys,
+// both through the vectorizable kernels of src/apps/dense_kernels.h.
+// The weight copy, the gradient and the update row share one scratch
+// buffer per range. A range's result depends only on its inputs.
 #ifndef SRC_APPS_MLR_H_
 #define SRC_APPS_MLR_H_
 
