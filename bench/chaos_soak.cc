@@ -27,10 +27,9 @@
 #include "bench/support.h"
 #include "src/apps/datasets.h"
 #include "src/apps/mf.h"
-#include "src/chaos/crash_restart.h"
 #include "src/chaos/harness.h"
 #include "src/chaos/lossy_link.h"
-#include "src/chaos/tier_storm.h"
+#include "src/chaos/scripted_recovery.h"
 
 namespace proteus {
 namespace {
@@ -57,8 +56,7 @@ ChaosConfig MakeConfig(std::uint64_t seed) {
 }
 
 int RunLossyLinkSection(int schedules, std::uint64_t base_seed, MLApp* app);
-int RunCrashRestartSection(int seeds, std::uint64_t base_seed, MLApp* app);
-int RunTierStormSection(int seeds, std::uint64_t base_seed, MLApp* app);
+int RunScriptedRecoverySection(int seeds, std::uint64_t base_seed, MLApp* app);
 
 int RunSoak(int schedules, std::uint64_t base_seed) {
   RatingsConfig rc;
@@ -184,138 +182,96 @@ int RunSoak(int schedules, std::uint64_t base_seed) {
   const int chaos_rc = (total_violations == 0 && digest_mismatches == 0) ? 0 : 1;
   // The companion sections are comparatively cheap; cap them so huge
   // schedule counts stay dominated by the chaos sweep.
-  const int crash_rc =
-      RunCrashRestartSection(schedules < 10 ? schedules : 10, base_seed, &app);
-  const int storm_rc =
-      RunTierStormSection(schedules < 10 ? schedules : 10, base_seed, &app);
+  const int scripted_rc =
+      RunScriptedRecoverySection(schedules < 10 ? schedules : 10, base_seed, &app);
   const int lossy_rc =
       RunLossyLinkSection(schedules < 10 ? schedules : 10, base_seed, &app);
   if (chaos_rc != 0) {
     return chaos_rc;
   }
-  if (crash_rc != 0) {
-    return crash_rc;
-  }
-  return storm_rc != 0 ? storm_rc : lossy_rc;
+  return scripted_rc != 0 ? scripted_rc : lossy_rc;
 }
 
-// Crash/restart section: for every rung of the escalation ladder, crash
-// mid-run at that depth and verify the recovered state is byte-identical
-// to the correct reference (last sync, pre-crash state, or the newest
-// committed durable epoch). Any digest mismatch or auditor violation
-// fails the soak.
-int RunCrashRestartSection(int seeds, std::uint64_t base_seed, MLApp* app) {
-  int digest_mismatches = 0;
-  std::size_t violations = 0;
-  int runs = 0;
-  int total_lost = 0;
-  for (const CrashScenario scenario :
-       {CrashScenario::kBackupPromotion, CrashScenario::kActiveRebuild,
-        CrashScenario::kDurableRestore}) {
+// Scripted-recovery section: every row of the scenario table, crashed
+// or stormed mid-run, must recover to a byte-identical digest at its
+// depth of the ladder (last sync, pre-crash state, or the restored
+// durable epoch), with the TierGuard exposure bound audited at every
+// clock of the storm rows. Any digest mismatch or auditor violation
+// fails the soak. The crash rows and the storm rows report separately.
+int RunScriptedRecoverySection(int seeds, std::uint64_t base_seed, MLApp* app) {
+  struct Tally {
+    int scenarios = 0;
+    int runs = 0;
+    int digest_mismatches = 0;
+    std::size_t violations = 0;
+    int lost_clocks = 0;
+    std::array<long long, 4> depth_runs{};
+    std::array<int, 4> depth_lost{};
+    long long serverless_revoked = 0;
+  };
+  Tally crash;
+  Tally storm;
+  for (const ScenarioRow& row : RecoveryScenarios()) {
+    Tally& tally = row.storm ? storm : crash;
+    ++tally.scenarios;
     for (int s = 0; s < seeds; ++s) {
       const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(s);
-      CrashRestartConfig config;
+      ScriptedRecoveryConfig config;
       config.agileml.num_partitions = 16;
       config.agileml.data_blocks = 128;
       config.agileml.parallel_execution = false;
       config.agileml.backup_sync_every = 3;
       config.agileml.seed = seed;
-      config.scenario = scenario;
+      config.scenario = row.scenario;
       config.horizon = 24;
       config.checkpoint_every = 4;
-      config.crash_at = 15;
-      config.seed = seed;
-      const CrashRestartResult result = RunCrashRestart(app, config);
-      ++runs;
-      total_lost += result.lost_clocks;
-      if (!result.digest_match) {
-        ++digest_mismatches;
-        std::fprintf(stderr, "crash_restart %s seed %llu: digest mismatch\n",
-                     CrashScenarioName(scenario),
-                     static_cast<unsigned long long>(seed));
-      }
-      for (const auto& violation : result.violations) {
-        ++violations;
-        std::fprintf(stderr, "crash_restart %s seed %llu: %s — %s\n",
-                     CrashScenarioName(scenario),
-                     static_cast<unsigned long long>(seed),
-                     violation.invariant.c_str(), violation.detail.c_str());
-      }
-    }
-  }
-  std::printf("\ncrash/restart ladder: %d runs (3 scenarios x %d seeds)\n", runs, seeds);
-  std::printf("byte-identical recoveries: %d/%d\n", runs - digest_mismatches, runs);
-  std::printf("clocks of work lost:       %d total\n", total_lost);
-  std::printf("auditor violations:        %zu\n", violations);
-  return (digest_mismatches == 0 && violations == 0) ? 0 : 1;
-}
-
-// Tier-storm section (ISSUE 10): zero-warning mass revocations of the
-// serverless tier — alone, crossing into the spot tier, overlapping a
-// reliable backup-holder loss, or wiping both lower tiers mid-round —
-// each must recover to a byte-identical digest at its depth of the
-// ladder, with the TierGuard exposure bound audited at every clock.
-int RunTierStormSection(int seeds, std::uint64_t base_seed, MLApp* app) {
-  constexpr TierStormScenario kScenarios[] = {
-      TierStormScenario::kServerlessWipe, TierStormScenario::kCrossTierSpot,
-      TierStormScenario::kBackupHolderOverlap, TierStormScenario::kFullWipe};
-  int digest_mismatches = 0;
-  std::size_t violations = 0;
-  int runs = 0;
-  std::array<long long, 4> depth_totals{};
-  std::array<int, 4> depth_lost{};
-  long long serverless_revoked = 0;
-  for (const TierStormScenario scenario : kScenarios) {
-    for (int s = 0; s < seeds; ++s) {
-      const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(s);
-      TierStormConfig config;
-      config.agileml.num_partitions = 16;
-      config.agileml.data_blocks = 128;
-      config.agileml.parallel_execution = false;
-      config.agileml.backup_sync_every = 3;
-      config.agileml.seed = seed;
-      config.scenario = scenario;
-      config.horizon = 24;
-      config.checkpoint_every = 4;
-      config.storm_at = 11;
-      config.seed = seed;
-      const TierStormResult result = RunTierStorm(app, config);
-      ++runs;
+      config.fire_at = row.storm ? 11 : 15;
+      const ScriptedRecoveryResult result = RunScriptedRecovery(app, config);
+      ++tally.runs;
+      tally.lost_clocks += result.lost_clocks;
       const auto depth = static_cast<std::size_t>(result.depth);
-      depth_totals[depth] += 1;
-      depth_lost[depth] += result.lost_clocks;
-      serverless_revoked += result.storm_victims;
+      tally.depth_runs[depth] += 1;
+      tally.depth_lost[depth] += result.lost_clocks;
+      tally.serverless_revoked += result.storm_victims;
       if (!result.digest_match) {
-        ++digest_mismatches;
-        std::fprintf(stderr, "tier_storm %s seed %llu: digest mismatch\n",
-                     TierStormScenarioName(scenario),
+        ++tally.digest_mismatches;
+        std::fprintf(stderr, "scripted_recovery %s seed %llu: digest mismatch\n", row.name,
                      static_cast<unsigned long long>(seed));
       }
       for (const auto& violation : result.violations) {
-        ++violations;
-        std::fprintf(stderr, "tier_storm %s seed %llu: %s — %s\n",
-                     TierStormScenarioName(scenario),
-                     static_cast<unsigned long long>(seed),
-                     violation.invariant.c_str(), violation.detail.c_str());
+        ++tally.violations;
+        std::fprintf(stderr, "scripted_recovery %s seed %llu: %s — %s\n", row.name,
+                     static_cast<unsigned long long>(seed), violation.invariant.c_str(),
+                     violation.detail.c_str());
       }
     }
   }
+
+  std::printf("\ncrash/restart ladder: %d runs (%d scenarios x %d seeds)\n", crash.runs,
+              crash.scenarios, seeds);
+  std::printf("byte-identical recoveries: %d/%d\n", crash.runs - crash.digest_mismatches,
+              crash.runs);
+  std::printf("clocks of work lost:       %d total\n", crash.lost_clocks);
+  std::printf("auditor violations:        %zu\n", crash.violations);
+
   std::printf("\ntier storms (zero-warning serverless evictions): %d runs "
-              "(4 scenarios x %d seeds)\n", runs, seeds);
+              "(%d scenarios x %d seeds)\n", storm.runs, storm.scenarios, seeds);
   std::printf("serverless nodes revoked:  %lld (all with zero warning; every loss\n"
               "                           detector-confirmed, never drained)\n",
-              serverless_revoked);
-  std::printf("byte-identical recoveries: %d/%d\n", runs - digest_mismatches, runs);
+              storm.serverless_revoked);
+  std::printf("byte-identical recoveries: %d/%d\n", storm.runs - storm.digest_mismatches,
+              storm.runs);
   std::printf("per-depth recovery breakdown:\n");
   std::printf("%-22s %8s %12s\n", "depth", "storms", "lost clocks");
-  for (std::size_t d = 0; d < depth_totals.size(); ++d) {
-    std::printf("%-22s %8lld %12d\n",
-                RecoveryDepthName(static_cast<RecoveryDepth>(d)), depth_totals[d],
-                depth_lost[d]);
+  for (std::size_t d = 0; d < storm.depth_runs.size(); ++d) {
+    std::printf("%-22s %8lld %12d\n", RecoveryDepthName(static_cast<RecoveryDepth>(d)),
+                storm.depth_runs[d], storm.depth_lost[d]);
   }
   std::printf("auditor violations:        %zu (TierGuard bound re-checked every clock)\n",
-              violations);
-  return (digest_mismatches == 0 && violations == 0) ? 0 : 1;
+              storm.violations);
+  const bool ok = crash.digest_mismatches == 0 && crash.violations == 0 &&
+                  storm.digest_mismatches == 0 && storm.violations == 0;
+  return ok ? 0 : 1;
 }
 
 // Lossy control-link section: drives the same controller command stream

@@ -4,15 +4,12 @@
 #include <cmath>
 #include <thread>
 
+#include "src/common/hash.h"
 #include "src/common/logging.h"
 
 namespace proteus {
 
 namespace {
-std::uint64_t HashCombine(std::uint64_t a, std::uint64_t b) {
-  return a ^ (b + 0x9E3779B97F4A7C15ULL + (a << 6) + (a >> 2));
-}
-
 // Sorts and dedups one node's logged keys, then adds each distinct row's
 // wire bytes (row_bytes, per table) to its partition's tally.
 void TallyDistinctRows(std::vector<RowKey>& keys, const ModelStore& model,

@@ -17,13 +17,6 @@ namespace backtest {
 
 namespace {
 
-std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
 std::string Fixed(double value, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
@@ -39,7 +32,7 @@ std::uint64_t BacktestEngine::CellSeed(std::uint64_t base, const std::string& po
   h = Fnv1a(h, instance_type.data(), instance_type.size());
   const std::uint64_t w = static_cast<std::uint64_t>(window);
   h = Fnv1a(h, &w, sizeof(w));
-  return SplitMix64(h);
+  return Mix64(h);
 }
 
 BacktestEngine::BacktestEngine(const InstanceTypeCatalog* catalog, const TraceStore* traces,

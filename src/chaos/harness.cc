@@ -11,10 +11,6 @@ namespace proteus {
 
 namespace {
 
-std::uint64_t HashCombine(std::uint64_t a, std::uint64_t b) {
-  return a ^ (b + 0x9E3779B97F4A7C15ULL + (a << 6) + (a >> 2));
-}
-
 std::uint64_t HashDouble(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 // The harness injects silent hangs and blackholes, which only the
@@ -64,47 +60,33 @@ std::uint64_t ChaosRunResult::Digest() const {
   return h;
 }
 
+// The stack's start-up checkpoint is the harness's insurance: a
+// checkpoint always exists (in memory and as a committed durable epoch),
+// so a stage-1 reliable failure can restore rather than lose the
+// solution state and a correlated both-tier loss is survivable from the
+// first clock on.
 ChaosHarness::ChaosHarness(MLApp* app, ChaosConfig config)
     : app_(app),
       config_(NormalizeConfig(std::move(config))),
       injector_(config_.seed, config_.schedule),
-      runtime_(std::make_unique<AgileMLRuntime>(
-          app_, config_.agileml,
-          InitialNodes(config_.initial_reliable, config_.initial_transient_allocations,
-                       config_.nodes_per_allocation, config_.initial_serverless_allocations,
-                       config_.serverless_nodes_per_allocation))),
-      auditor_(runtime_.get()) {
-  PROTEUS_CHECK_GE(config_.initial_reliable, 1);
-  PROTEUS_CHECK_GE(config_.nodes_per_allocation, 1);
+      stack_(app_, config_.agileml,
+             InitialNodes(config_.initial_serverless_allocations,
+                          config_.serverless_nodes_per_allocation),
+             RecoveryManagerConfig{config_.checkpoint_every, kScrubEvery}, kDurableRetain) {
   // Mirror the initial grouping into the allocation table.
-  NodeId id = static_cast<NodeId>(config_.initial_reliable);
-  for (int a = 0; a < config_.initial_transient_allocations; ++a) {
-    ChaosAllocation alloc;
-    alloc.zone = a % config_.schedule.zones;
-    for (int i = 0; i < config_.nodes_per_allocation; ++i) {
-      alloc.nodes.push_back(id++);
+  for (const NodeInfo& node : stack_.runtime().nodes()) {
+    ++next_node_;
+    if (node.reliable()) {
+      continue;
     }
-    allocations_[next_allocation_++] = std::move(alloc);
-  }
-  for (int a = 0; a < config_.initial_serverless_allocations; ++a) {
-    ChaosAllocation alloc;
-    alloc.serverless = true;
-    for (int i = 0; i < config_.serverless_nodes_per_allocation; ++i) {
-      alloc.nodes.push_back(id++);
+    ChaosAllocation& alloc = allocations_[node.allocation];
+    alloc.serverless = node.serverless();
+    if (!alloc.serverless) {
+      alloc.zone = static_cast<int>(node.allocation) % config_.schedule.zones;
     }
-    allocations_[next_allocation_++] = std::move(alloc);
+    alloc.nodes.push_back(node.id);
+    next_allocation_ = node.allocation + 1;
   }
-  next_node_ = id;
-  store_ = std::make_unique<CheckpointStore>(
-      &device_, CheckpointStoreConfig{config_.durable_retain});
-  recovery_ = std::make_unique<RecoveryManager>(
-      runtime_.get(), store_.get(),
-      RecoveryManagerConfig{config_.checkpoint_every, config_.scrub_every});
-  // Start-up insurance: a checkpoint always exists (in memory and as a
-  // committed durable epoch), so a stage-1 reliable failure can restore
-  // rather than lose the solution state and a correlated both-tier loss
-  // is survivable from the first clock on.
-  recovery_->ForceCheckpoint();
   BindMetrics();
 }
 
@@ -114,10 +96,8 @@ void ChaosHarness::SetObservability(obs::Tracer* tracer, obs::MetricsRegistry* m
   obs_.SetTracer(tracer);
   obs_.SetMetrics(metrics);
   BindMetrics();
-  runtime_->SetObservability(tracer, metrics);
+  stack_.SetObservability(tracer, metrics);
   control_channel_.SetObservability(metrics, "controller");
-  auditor_.SetObservability(tracer, metrics);
-  recovery_->SetObservability(tracer, metrics);
 }
 
 void ChaosHarness::BindMetrics() {
@@ -129,36 +109,14 @@ void ChaosHarness::BindMetrics() {
 
 void ChaosHarness::SetLedger(obs::EventLedger* ledger, obs::FlightRecorder* recorder) {
   obs_.SetLedger(ledger);
-  runtime_->SetLedger(ledger);
+  stack_.SetLedger(ledger, recorder);
   control_channel_.SetLedger(ledger, "controller");
-  auditor_.SetLedger(ledger, recorder);
-  recovery_->SetLedger(ledger);
-}
-
-std::vector<NodeId> ChaosHarness::ReadyTransientIds() const {
-  std::vector<NodeId> out;
-  for (const NodeInfo& node : runtime_->ReadyNodes()) {
-    if (node.tier == Tier::kTransient) {
-      out.push_back(node.id);
-    }
-  }
-  return out;
 }
 
 std::vector<NodeId> ChaosHarness::AllTransientIds() const {
   std::vector<NodeId> out;
-  for (const NodeInfo& node : runtime_->nodes()) {
+  for (const NodeInfo& node : stack_.runtime().nodes()) {
     if (node.tier == Tier::kTransient) {
-      out.push_back(node.id);
-    }
-  }
-  return out;
-}
-
-std::vector<NodeId> ChaosHarness::ReadyServerlessIds() const {
-  std::vector<NodeId> out;
-  for (const NodeInfo& node : runtime_->ReadyNodes()) {
-    if (node.serverless()) {
       out.push_back(node.id);
     }
   }
@@ -182,7 +140,7 @@ AllocationId ChaosHarness::AddAllocation(int zone, int count) {
     nodes.push_back({node, Tier::kTransient, 8, id});
   }
   control_channel_.Send(Message(AllocationGrantMsg{id, alloc.nodes, 8}));
-  runtime_->AddNodes(nodes);
+  stack_.runtime().AddNodes(nodes);
   allocations_[id] = std::move(alloc);
   return id;
 }
@@ -198,7 +156,7 @@ AllocationId ChaosHarness::AddServerlessAllocation(int count) {
     nodes.push_back({node, Tier::kServerless, 2, id});
   }
   control_channel_.Send(Message(AllocationGrantMsg{id, alloc.nodes, 2}));
-  runtime_->AddNodes(nodes);
+  stack_.runtime().AddNodes(nodes);
   allocations_[id] = std::move(alloc);
   return id;
 }
@@ -223,6 +181,7 @@ void ChaosHarness::ForgetNodes(const std::vector<NodeId>& nodes) {
 }
 
 bool ChaosHarness::Apply(const FaultEvent& event) {
+  AgileMLRuntime& runtime = stack_.runtime();
   switch (event.cls) {
     case FaultClass::kZoneMassEviction: {
       // Every allocation in one zone is revoked at once (a price spike
@@ -266,7 +225,7 @@ bool ChaosHarness::Apply(const FaultEvent& event) {
         SendEvictionNotice(id, alloc.nodes, /*warned=*/true);
         all_nodes.insert(all_nodes.end(), alloc.nodes.begin(), alloc.nodes.end());
       }
-      runtime_->Evict(all_nodes);  // Correlated: one simultaneous revocation.
+      runtime.Evict(all_nodes);  // Correlated: one simultaneous revocation.
       ForgetNodes(all_nodes);
       return true;
     }
@@ -282,7 +241,7 @@ bool ChaosHarness::Apply(const FaultEvent& event) {
       const std::vector<NodeId> now(alloc.nodes.begin(),
                                     alloc.nodes.begin() + count / 2);
       SendEvictionNotice(id, now, /*warned=*/true);
-      runtime_->Evict(now);
+      runtime.Evict(now);
       ForgetNodes(now);
       pending_preload_evictions_.push_back(id);
       return true;
@@ -290,44 +249,35 @@ bool ChaosHarness::Apply(const FaultEvent& event) {
     case FaultClass::kMidSyncFailure: {
       // A missed warning must land between active->backup syncs so
       // unsynced clocks are really at stake; defer until then.
-      if (!runtime_->roles().UsesBackups() ||
-          runtime_->clock() == runtime_->last_sync_clock()) {
+      if (!runtime.roles().UsesBackups() ||
+          runtime.clock() == runtime.last_sync_clock()) {
         return false;
       }
-      std::vector<NodeId> ready = ReadyTransientIds();
+      const std::vector<NodeId> ready =
+          ActivePsHostsFirst(runtime.roles(), ReadyUnsilenced(runtime, Tier::kTransient));
       if (ready.empty()) {
         return false;
       }
-      // Prefer ActivePS hosts: their loss is what forces the rollback.
-      std::stable_sort(ready.begin(), ready.end(), [this](NodeId a, NodeId b) {
-        const auto& actives = runtime_->roles().active_ps_nodes;
-        return actives.count(a) > actives.count(b);
-      });
       const std::size_t count =
           std::min<std::size_t>(ready.size(), static_cast<std::size_t>(event.magnitude));
       std::vector<NodeId> victims(ready.begin(),
                                   ready.begin() + static_cast<std::ptrdiff_t>(count));
       SendEvictionNotice(kInvalidAllocation, victims, /*warned=*/false);
-      runtime_->Fail(victims);
+      runtime.Fail(victims);
       ForgetNodes(victims);
       return true;
     }
     case FaultClass::kReliableFailure: {
-      std::vector<NodeId> reliable;
-      for (const NodeInfo& node : runtime_->ReadyNodes()) {
-        if (node.reliable()) {
-          reliable.push_back(node.id);
-        }
-      }
+      const std::vector<NodeId> reliable = ReadyUnsilenced(runtime, Tier::kReliable);
       if (reliable.size() < 2) {
         return false;  // The reliable tier must never empty out.
       }
       const NodeId victim = reliable[static_cast<std::size_t>(
           injector_.rng().UniformInt(0, static_cast<std::int64_t>(reliable.size()) - 1))];
-      runtime_->Fail({victim});
+      runtime.Fail({victim});
       // The operator replaces the on-demand machine; it preloads and
       // rejoins like any addition.
-      runtime_->AddNodes({{next_node_++, Tier::kReliable, 8, kInvalidAllocation}});
+      runtime.AddNodes({{next_node_++, Tier::kReliable, 8, kInvalidAllocation}});
       return true;
     }
     case FaultClass::kTransientWipeout: {
@@ -343,9 +293,9 @@ bool ChaosHarness::Apply(const FaultEvent& event) {
       // Half the wipeouts are warned (graceful stage fallback), half are
       // simultaneous unwarned failures (rollback under total loss).
       if (injector_.rng().Bernoulli(0.5)) {
-        runtime_->Evict(all);
+        runtime.Evict(all);
       } else {
-        runtime_->Fail(all);
+        runtime.Fail(all);
       }
       ClearTransientAllocations();
       pending_preload_evictions_.clear();
@@ -360,22 +310,13 @@ bool ChaosHarness::Apply(const FaultEvent& event) {
       // (a gray failure: the control plane is cut, the data plane is
       // not). It resumes after `magnitude` clocks — short hangs recover
       // as counted false positives, long ones get confirmed dead first.
-      std::vector<NodeId> ready = ReadyTransientIds();
-      ready.erase(std::remove_if(ready.begin(), ready.end(),
-                                 [this](NodeId id) {
-                                   return silenced_cause_.count(id) > 0;
-                                 }),
-                  ready.end());
+      const std::vector<NodeId> ready = ActivePsHostsFirst(
+          runtime.roles(), ReadyUnsilenced(runtime, Tier::kTransient, silenced_cause_));
       if (ready.empty()) {
         return false;
       }
-      // Prefer ActivePS hosts: a confirmed death there forces a rollback.
-      std::stable_sort(ready.begin(), ready.end(), [this](NodeId a, NodeId b) {
-        const auto& actives = runtime_->roles().active_ps_nodes;
-        return actives.count(a) > actives.count(b);
-      });
       const NodeId victim = ready.front();
-      runtime_->SetNodeSilent(victim, true);
+      runtime.SetNodeSilent(victim, true);
       silenced_cause_[victim] = FaultClass::kSilentHang;
       silent_resume_[victim] = boundary_ + event.magnitude;
       return true;
@@ -384,23 +325,15 @@ bool ChaosHarness::Apply(const FaultEvent& event) {
       // Up to `magnitude` ready transient nodes fall off the network for
       // good — no eviction notice, no Fail() call, no resume. Only the
       // detector ever learns about them.
-      std::vector<NodeId> ready = ReadyTransientIds();
-      ready.erase(std::remove_if(ready.begin(), ready.end(),
-                                 [this](NodeId id) {
-                                   return silenced_cause_.count(id) > 0;
-                                 }),
-                  ready.end());
+      const std::vector<NodeId> ready = ActivePsHostsFirst(
+          runtime.roles(), ReadyUnsilenced(runtime, Tier::kTransient, silenced_cause_));
       if (ready.empty()) {
         return false;
       }
-      std::stable_sort(ready.begin(), ready.end(), [this](NodeId a, NodeId b) {
-        const auto& actives = runtime_->roles().active_ps_nodes;
-        return actives.count(a) > actives.count(b);
-      });
       const std::size_t count =
           std::min<std::size_t>(ready.size(), static_cast<std::size_t>(event.magnitude));
       for (std::size_t i = 0; i < count; ++i) {
-        runtime_->SetNodeSilent(ready[i], true);
+        runtime.SetNodeSilent(ready[i], true);
         silenced_cause_[ready[i]] = FaultClass::kBlackhole;
       }
       return true;
@@ -420,12 +353,7 @@ bool ChaosHarness::Apply(const FaultEvent& event) {
       // copies of some partition only the durable tier can recover, so
       // the event waits until a committed epoch validates (a corrupted
       // store self-heals at the next cadence write).
-      std::vector<NodeId> reliable;
-      for (const NodeInfo& node : runtime_->ReadyNodes()) {
-        if (node.reliable()) {
-          reliable.push_back(node.id);
-        }
-      }
+      std::vector<NodeId> reliable = ReadyUnsilenced(runtime, Tier::kReliable);
       if (reliable.size() < 2) {
         return false;  // The reliable tier must never empty out.
       }
@@ -433,27 +361,13 @@ bool ChaosHarness::Apply(const FaultEvent& event) {
       if (victims.empty()) {
         return false;
       }
-      if (!store_->ReadNewestValid().has_value()) {
+      if (!stack_.store().ReadNewestValid().has_value()) {
         return false;
       }
       // Reliable victims carry the most solution state first, so the
       // wipeout reaches the bottom of the escalation ladder whenever the
       // role map allows it.
-      const RoleAssignment& roles = runtime_->roles();
-      std::stable_sort(reliable.begin(), reliable.end(),
-                       [&roles](NodeId a, NodeId b) {
-                         int held_a = 0;
-                         int held_b = 0;
-                         for (const auto& [partition, owner] : roles.server) {
-                           held_a += owner == a;
-                           held_b += owner == b;
-                         }
-                         for (const auto& [partition, owner] : roles.backup) {
-                           held_a += owner == a;
-                           held_b += owner == b;
-                         }
-                         return held_a > held_b;
-                       });
+      reliable = RankByPartitionsHeld(runtime.roles(), /*count_backups=*/true, reliable);
       const std::size_t reliable_victims = std::min<std::size_t>(
           static_cast<std::size_t>(std::max(1, event.magnitude)),
           reliable.size() - 1);
@@ -471,10 +385,10 @@ bool ChaosHarness::Apply(const FaultEvent& event) {
       // The dead reliable machines held the in-memory checkpoint: when
       // the active+backup pair is gone too, recovery must come from the
       // durable device, not from RAM.
-      if (recovery_->Classify(victims) == RecoveryDepth::kDurableRestore) {
-        runtime_->DropCheckpoint();
+      if (stack_.recovery().Classify(victims) == RecoveryDepth::kDurableRestore) {
+        runtime.DropCheckpoint();
       }
-      const RecoveryOutcome outcome = recovery_->Recover(victims);
+      const RecoveryOutcome outcome = stack_.recovery().Recover(victims);
       corrupt_epochs_skipped_ += outcome.corrupt_epochs_skipped;
       control_channel_.Send(Message(RecoveryNoticeMsg{
           static_cast<std::int32_t>(outcome.depth),
@@ -489,7 +403,7 @@ bool ChaosHarness::Apply(const FaultEvent& event) {
       for (std::size_t i = 0; i < reliable_victims; ++i) {
         replacements.push_back({next_node_++, Tier::kReliable, 8, kInvalidAllocation});
       }
-      runtime_->AddNodes(replacements);
+      runtime.AddNodes(replacements);
       return true;
     }
     case FaultClass::kCheckpointCorruption: {
@@ -498,7 +412,7 @@ bool ChaosHarness::Apply(const FaultEvent& event) {
       // under its committed manifest. Validation must refuse to load the
       // damaged epoch and Scrub must count the damage.
       std::vector<std::string> objects;
-      for (const std::string& name : device_.List()) {
+      for (const std::string& name : stack_.device().List()) {
         if (name.rfind("ck/", 0) == 0) {
           objects.push_back(name);
         }
@@ -519,11 +433,11 @@ bool ChaosHarness::Apply(const FaultEvent& event) {
       bool injected = false;
       switch (kind) {
         case 0: {
-          const auto bytes = device_.Read(name);
+          const auto bytes = stack_.device().Read(name);
           if (!bytes || bytes->empty()) {
             return false;
           }
-          injected = device_.FlipBit(
+          injected = stack_.device().FlipBit(
               name,
               static_cast<std::size_t>(injector_.rng().UniformInt(
                   0, static_cast<std::int64_t>(bytes->size()) - 1)),
@@ -531,15 +445,15 @@ bool ChaosHarness::Apply(const FaultEvent& event) {
           break;
         }
         case 1: {
-          const auto bytes = device_.Read(name);
+          const auto bytes = stack_.device().Read(name);
           if (!bytes || bytes->size() < 2) {
             return false;
           }
-          injected = device_.Truncate(name, bytes->size() / 2);
+          injected = stack_.device().Truncate(name, bytes->size() / 2);
           break;
         }
         default:
-          injected = device_.Delete(name);
+          injected = stack_.device().Delete(name);
           break;
       }
       if (injected) {
@@ -553,9 +467,9 @@ bool ChaosHarness::Apply(const FaultEvent& event) {
       // manifest rename — the commit point — never happens (the epoch is
       // left torn: tmp manifest only, skipped by every reader).
       if (event.magnitude % 2 == 0) {
-        device_.ArmTornWrite(0.5);
+        stack_.device().ArmTornWrite(0.5);
       } else {
-        device_.ArmDropRename();
+        stack_.device().ArmDropRename();
       }
       ++torn_checkpoints_armed_;
       return true;
@@ -568,12 +482,7 @@ bool ChaosHarness::Apply(const FaultEvent& event) {
       // (SetNodeRevoked); only the failure detector ever learns. A
       // second die decides whether the storm crosses tiers and takes
       // ready spot node(s) down with it, equally unannounced.
-      std::vector<NodeId> ready = ReadyServerlessIds();
-      ready.erase(std::remove_if(ready.begin(), ready.end(),
-                                 [this](NodeId id) {
-                                   return silenced_cause_.count(id) > 0;
-                                 }),
-                  ready.end());
+      std::vector<NodeId> ready = ReadyUnsilenced(runtime, Tier::kServerless, silenced_cause_);
       if (ready.empty()) {
         return false;
       }
@@ -584,7 +493,7 @@ bool ChaosHarness::Apply(const FaultEvent& event) {
           std::max<std::size_t>(
               1, (ready.size() * static_cast<std::size_t>(permille) + 999) / 1000));
       for (std::size_t i = 0; i < count; ++i) {
-        runtime_->SetNodeRevoked(ready[i]);
+        runtime.SetNodeRevoked(ready[i]);
         silenced_cause_[ready[i]] = FaultClass::kTierStorm;
         ++serverless_nodes_revoked_;
       }
@@ -592,19 +501,11 @@ bool ChaosHarness::Apply(const FaultEvent& event) {
         // The storm crosses into the spot tier: up to two ready spot
         // nodes — preferring ActivePS hosts for maximum damage — go
         // permanently dark alongside the serverless victims.
-        std::vector<NodeId> spot = ReadyTransientIds();
-        spot.erase(std::remove_if(spot.begin(), spot.end(),
-                                  [this](NodeId id) {
-                                    return silenced_cause_.count(id) > 0;
-                                  }),
-                   spot.end());
-        std::stable_sort(spot.begin(), spot.end(), [this](NodeId a, NodeId b) {
-          const auto& actives = runtime_->roles().active_ps_nodes;
-          return actives.count(a) > actives.count(b);
-        });
+        const std::vector<NodeId> spot = ActivePsHostsFirst(
+            runtime.roles(), ReadyUnsilenced(runtime, Tier::kTransient, silenced_cause_));
         const std::size_t spot_victims = std::min<std::size_t>(spot.size(), 2);
         for (std::size_t i = 0; i < spot_victims; ++i) {
-          runtime_->SetNodeSilent(spot[i], true);
+          runtime.SetNodeSilent(spot[i], true);
           silenced_cause_[spot[i]] = FaultClass::kTierStorm;
         }
       }
@@ -615,8 +516,9 @@ bool ChaosHarness::Apply(const FaultEvent& event) {
 }
 
 ChaosRunResult ChaosHarness::Run() {
+  AgileMLRuntime& runtime = stack_.runtime();
   ChaosRunResult result;
-  const SimDuration run_start = runtime_->total_time();
+  const SimDuration run_start = runtime.total_time();
   const obs::Emitter::Region run_region =
       obs_.Open("run", "chaos", run_start,
                 {{"seed", static_cast<std::int64_t>(config_.seed)},
@@ -635,7 +537,7 @@ ChaosRunResult ChaosHarness::Run() {
     // harmless no-op).
     for (auto it = silent_resume_.begin(); it != silent_resume_.end();) {
       if (it->second <= boundary) {
-        runtime_->SetNodeSilent(it->first, false);
+        runtime.SetNodeSilent(it->first, false);
         silenced_cause_.erase(it->first);
         it = silent_resume_.erase(it);
       } else {
@@ -646,8 +548,8 @@ ChaosRunResult ChaosHarness::Run() {
     // Revocations registered by a preparing-eviction event land now,
     // while (typically) the nodes are still preloading.
     if (!pending_preload_evictions_.empty()) {
-      const int lost_before = runtime_->lost_clocks_total();
-      const std::int64_t ctrl_before = runtime_->control_log().Total();
+      const int lost_before = runtime.lost_clocks_total();
+      const std::int64_t ctrl_before = runtime.control_log().Total();
       for (const AllocationId id : pending_preload_evictions_) {
         auto it = allocations_.find(id);
         if (it == allocations_.end() || it->second.nodes.empty()) {
@@ -655,16 +557,16 @@ ChaosRunResult ChaosHarness::Run() {
         }
         const std::vector<NodeId> nodes = it->second.nodes;
         SendEvictionNotice(id, nodes, /*warned=*/true);
-        runtime_->Evict(nodes);
+        runtime.Evict(nodes);
         ForgetNodes(nodes);
       }
       pending_preload_evictions_.clear();
       auto& stats = result.per_class[static_cast<std::size_t>(
           FaultClass::kPreparingEviction)];
-      stats.lost_clocks += runtime_->lost_clocks_total() - lost_before;
-      stats.control_messages += runtime_->control_log().Total() - ctrl_before;
+      stats.lost_clocks += runtime.lost_clocks_total() - lost_before;
+      stats.control_messages += runtime.control_log().Total() - ctrl_before;
       applied.push_back(FaultClass::kPreparingEviction);
-      obs_.Instant(runtime_->total_time(), "fault.preparing_eviction", "chaos",
+      obs_.Instant(runtime.total_time(), "fault.preparing_eviction", "chaos",
                    {{"phase", "revoke"}, {"boundary", static_cast<std::int64_t>(boundary)}});
     }
 
@@ -674,12 +576,12 @@ ChaosRunResult ChaosHarness::Run() {
       due.push_back(event);
     }
     for (const FaultEvent& event : due) {
-      const int lost_before = runtime_->lost_clocks_total();
-      const std::int64_t ctrl_before = runtime_->control_log().Total();
+      const int lost_before = runtime.lost_clocks_total();
+      const std::int64_t ctrl_before = runtime.control_log().Total();
       // Open before Apply: whatever the fault forces — evictions,
       // rollbacks, recovery-ladder steps — records as its children.
       const obs::Emitter::Region fault_region =
-          obs_.Open("fault", "chaos", runtime_->total_time(),
+          obs_.Open("fault", "chaos", runtime.total_time(),
                     {{"class", std::string(FaultClassName(event.cls))},
                      {"magnitude", static_cast<std::int64_t>(event.magnitude)},
                      {"boundary", static_cast<std::int64_t>(boundary)}});
@@ -690,12 +592,12 @@ ChaosRunResult ChaosHarness::Run() {
       }
       auto& stats = result.per_class[static_cast<std::size_t>(event.cls)];
       ++stats.events;
-      stats.lost_clocks += runtime_->lost_clocks_total() - lost_before;
-      stats.control_messages += runtime_->control_log().Total() - ctrl_before;
+      stats.lost_clocks += runtime.lost_clocks_total() - lost_before;
+      stats.control_messages += runtime.control_log().Total() - ctrl_before;
       applied.push_back(event.cls);
       fault_counters_[static_cast<std::size_t>(event.cls)]->Increment();
-      const auto lost = static_cast<std::int64_t>(runtime_->lost_clocks_total() - lost_before);
-      obs_.Instant(runtime_->total_time(), std::string("fault.") + FaultClassName(event.cls),
+      const auto lost = static_cast<std::int64_t>(runtime.lost_clocks_total() - lost_before);
+      obs_.Instant(runtime.total_time(), std::string("fault.") + FaultClassName(event.cls),
                    "chaos",
                    {{"magnitude", static_cast<std::int64_t>(event.magnitude)},
                     {"boundary", static_cast<std::int64_t>(boundary)},
@@ -706,17 +608,17 @@ ChaosRunResult ChaosHarness::Run() {
 
     // BidBrain's next decision point: replenish lost capacity.
     const int transient_count = static_cast<int>(AllTransientIds().size());
-    if (transient_count < config_.min_transient) {
+    if (transient_count < kMinTransient) {
       const int zone =
           static_cast<int>(injector_.rng().UniformInt(0, config_.schedule.zones - 1));
-      AddAllocation(zone, config_.nodes_per_allocation);
+      AddAllocation(zone, kNodesPerAllocation);
     }
     if (config_.min_serverless > 0) {
       // Revoked nodes are walking dead — still members until the
       // detector confirms, but not capacity.
       int serverless_count = 0;
-      for (const NodeInfo& node : runtime_->nodes()) {
-        if (node.serverless() && !runtime_->IsRevokedNode(node.id)) {
+      for (const NodeInfo& node : runtime.nodes()) {
+        if (node.serverless() && !runtime.IsRevokedNode(node.id)) {
           ++serverless_count;
         }
       }
@@ -725,10 +627,10 @@ ChaosRunResult ChaosHarness::Run() {
       }
     }
 
-    const int lost_before_clock = runtime_->lost_clocks_total();
+    const int lost_before_clock = runtime.lost_clocks_total();
     const std::int64_t notices_before_clock =
-        runtime_->control_log().NotificationTotal();
-    const IterationReport report = runtime_->RunClock();
+        runtime.control_log().NotificationTotal();
+    const IterationReport report = runtime.RunClock();
     ++result.clocks_run;
 
     if (!report.confirmed_dead.empty()) {
@@ -736,9 +638,9 @@ ChaosRunResult ChaosHarness::Run() {
       // runtime already rolled back / recovered. Attribute the rollback
       // and the suspicion notices to the fault class that silenced each
       // victim; the recovery stall lands on the next clock (carryover).
-      const int lost_delta = runtime_->lost_clocks_total() - lost_before_clock;
+      const int lost_delta = runtime.lost_clocks_total() - lost_before_clock;
       const std::int64_t notice_delta =
-          runtime_->control_log().NotificationTotal() - notices_before_clock;
+          runtime.control_log().NotificationTotal() - notices_before_clock;
       std::vector<FaultClass> causes;
       for (const NodeId node : report.confirmed_dead) {
         const auto it = silenced_cause_.find(node);
@@ -757,7 +659,7 @@ ChaosRunResult ChaosHarness::Run() {
         carryover_classes_.push_back(cause);
       }
       ForgetNodes(report.confirmed_dead);
-      obs_.Instant(runtime_->total_time(), "fault.confirmed_dead", "chaos",
+      obs_.Instant(runtime.total_time(), "fault.confirmed_dead", "chaos",
                    {{"victims", static_cast<std::int64_t>(report.confirmed_dead.size())},
                     {"lost_clocks", static_cast<std::int64_t>(lost_delta)},
                     {"boundary", static_cast<std::int64_t>(boundary)}});
@@ -767,7 +669,7 @@ ChaosRunResult ChaosHarness::Run() {
       // Forced-transfer stall of the recovery clock, split across the
       // fault classes that caused it.
       const SimDuration share = report.stall / static_cast<double>(applied.size());
-      const SimDuration clock_start = runtime_->total_time() - report.duration;
+      const SimDuration clock_start = runtime.total_time() - report.duration;
       for (const FaultClass cls : applied) {
         result.per_class[static_cast<std::size_t>(cls)].stall_seconds += share;
         // One recovery span per contributing fault class; chaos_soak
@@ -782,43 +684,43 @@ ChaosRunResult ChaosHarness::Run() {
     // Checkpoint cadence and periodic durable scrubbing live in the
     // recovery manager; every in-memory checkpoint is mirrored as a
     // durable epoch on the simulated device.
-    recovery_->OnClockBoundary();
+    stack_.recovery().OnClockBoundary();
 
     // The controller drains its inbox; delayed frames age one poll each.
     for (int i = 0; i < 4; ++i) {
       control_channel_.Poll();
     }
-    auditor_.ObserveChannel(control_channel_, "controller");
-    auditor_.ObserveClock();
+    stack_.auditor().ObserveChannel(control_channel_, "controller");
+    stack_.auditor().ObserveClock();
   }
 
-  result.final_clock = runtime_->clock();
-  result.lost_clocks_total = runtime_->lost_clocks_total();
-  result.virtual_time = runtime_->total_time();
-  obs_.Close(run_region, runtime_->total_time() - run_start,
+  result.final_clock = runtime.clock();
+  result.lost_clocks_total = runtime.lost_clocks_total();
+  result.virtual_time = runtime.total_time();
+  obs_.Close(run_region, runtime.total_time() - run_start,
              {{"clocks_run", static_cast<std::int64_t>(result.clocks_run)},
               {"final_clock", static_cast<std::int64_t>(result.final_clock)},
               {"lost_clocks", static_cast<std::int64_t>(result.lost_clocks_total)}});
-  result.final_objective = runtime_->ComputeObjective();
-  result.violations = auditor_.violations();
+  result.final_objective = runtime.ComputeObjective();
+  result.violations = stack_.auditor().violations();
   result.control_sent = control_channel_.messages_sent();
   result.control_delivered = control_channel_.messages_delivered();
   result.control_dropped = control_channel_.messages_dropped();
   result.control_pending = control_channel_.pending();
   result.control_duplicated = control_channel_.messages_duplicated();
-  result.control_log_summary = runtime_->control_log().Summary();
-  const FailureDetector& detector = runtime_->failure_detector();
+  result.control_log_summary = runtime.control_log().Summary();
+  const FailureDetector& detector = runtime.failure_detector();
   result.detector_suspicions = detector.suspicions();
   result.detector_confirmed_dead = detector.confirmations();
   result.detector_false_positives = detector.false_positives();
-  result.recovery_depths = recovery_->depth_counts();
-  result.durable_epochs_committed = store_->epochs_committed();
-  result.durable_commit_aborts = store_->commit_aborts();
+  result.recovery_depths = stack_.recovery().depth_counts();
+  result.durable_epochs_committed = stack_.store().epochs_committed();
+  result.durable_commit_aborts = stack_.store().commit_aborts();
   result.corrupt_frames_injected = corrupt_frames_injected_;
   result.corrupt_epochs_skipped = corrupt_epochs_skipped_;
   result.torn_checkpoints_armed = torn_checkpoints_armed_;
-  result.scrubs_run = recovery_->scrubs_run();
-  result.scrub_corruptions_found = recovery_->scrub_corruptions_found();
+  result.scrubs_run = stack_.recovery().scrubs_run();
+  result.scrub_corruptions_found = stack_.recovery().scrub_corruptions_found();
   result.serverless_nodes_revoked = serverless_nodes_revoked_;
   return result;
 }

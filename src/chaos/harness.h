@@ -17,7 +17,6 @@
 
 #include <array>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,6 +24,7 @@
 #include "src/agileml/runtime.h"
 #include "src/chaos/consistency_auditor.h"
 #include "src/chaos/fault_injector.h"
+#include "src/chaos/scenario.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/emitter.h"
 #include "src/ps/checkpoint_store.h"
@@ -32,15 +32,13 @@
 
 namespace proteus {
 
+// The harness starts from InitialNodes' spot capacity and replenishes
+// it (as BidBrain would) by one allocation of kNodesPerAllocation
+// whenever ready+preparing spot nodes drop below
+// ChaosHarness::kMinTransient.
 struct ChaosConfig {
   AgileMLConfig agileml;
   FaultScheduleConfig schedule;
-  int initial_reliable = 2;
-  int initial_transient_allocations = 2;
-  int nodes_per_allocation = 4;
-  // Replenish (as BidBrain would) when ready+preparing transient nodes
-  // drop below this.
-  int min_transient = 4;
   // Ultra-transient serverless tier (zero eviction warning, PR 10).
   // Serverless allocations hold worker-only burstable slots; the
   // kTierStorm fault class revokes them with no notice of any kind.
@@ -51,12 +49,9 @@ struct ChaosConfig {
   // Checkpoint the reliable tier every this many clock boundaries (also
   // once at start-up, so a stage-1 reliable failure is always
   // survivable). Every in-memory checkpoint is mirrored to the durable
-  // device through the RecoveryManager.
+  // device through the RecoveryManager (see ChaosHarness::kDurableRetain
+  // and kScrubEvery).
   int checkpoint_every = 5;
-  // Durable epochs retained before garbage collection.
-  int durable_retain = 3;
-  // Scrub the durable store every this many boundaries (0 = never).
-  int scrub_every = 4;
   std::uint64_t seed = 1;
 };
 // Note: the harness always arms the runtime's failure detector (the
@@ -142,13 +137,20 @@ class ChaosHarness {
   // Executes the full schedule; returns the run report.
   ChaosRunResult Run();
 
-  const AgileMLRuntime& runtime() const { return *runtime_; }
+  const AgileMLRuntime& runtime() const { return stack_.runtime(); }
   const FaultInjector& injector() const { return injector_; }
-  const ConsistencyAuditor& auditor() const { return auditor_; }
+  const ConsistencyAuditor& auditor() const { return stack_.auditor(); }
   const Channel& control_channel() const { return control_channel_; }
-  const RecoveryManager& recovery() const { return *recovery_; }
-  const CheckpointStore& store() const { return *store_; }
-  MemDurableDevice& device() { return device_; }
+  const RecoveryManager& recovery() const { return stack_.recovery(); }
+  const CheckpointStore& store() const { return stack_.store(); }
+  MemDurableDevice& device() { return stack_.device(); }
+
+  // Replenish spot capacity below this many ready+preparing nodes.
+  static constexpr int kMinTransient = 4;
+  // Durable epochs retained before garbage collection.
+  static constexpr int kDurableRetain = 3;
+  // Scrub the durable store every this many boundaries.
+  static constexpr int kScrubEvery = 4;
 
  private:
   struct ChaosAllocation {
@@ -167,24 +169,19 @@ class ChaosHarness {
   void ForgetNodes(const std::vector<NodeId>& nodes);
   // Drops every spot allocation from bookkeeping; serverless ones stay.
   void ClearTransientAllocations();
-  std::vector<NodeId> ReadyTransientIds() const;   // Spot only.
-  std::vector<NodeId> AllTransientIds() const;     // Spot, ready + preparing.
-  std::vector<NodeId> ReadyServerlessIds() const;
+  std::vector<NodeId> AllTransientIds() const;  // Spot, ready + preparing.
   void SendEvictionNotice(AllocationId id, const std::vector<NodeId>& nodes,
                           bool warned);
 
   MLApp* app_;
   ChaosConfig config_;
   FaultInjector injector_;
-  std::unique_ptr<AgileMLRuntime> runtime_;
-  ConsistencyAuditor auditor_;
+  // The runtime and auditor over the durable tier: an in-memory
+  // simulated device (with fault hooks the checkpoint-corruption classes
+  // use) under a versioned store, driven by the RecoveryManager's
+  // cadence and escalation ladder.
+  ChaosStack stack_;
   Channel control_channel_;
-  // Durable tier: an in-memory simulated device (with fault hooks the
-  // checkpoint-corruption classes use) under a versioned store, driven
-  // by the RecoveryManager's cadence and escalation ladder.
-  MemDurableDevice device_;
-  std::unique_ptr<CheckpointStore> store_;
-  std::unique_ptr<RecoveryManager> recovery_;
   int corrupt_frames_injected_ = 0;
   int torn_checkpoints_armed_ = 0;
   int corrupt_epochs_skipped_ = 0;

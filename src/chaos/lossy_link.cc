@@ -7,6 +7,7 @@
 #include <set>
 #include <variant>
 
+#include "src/chaos/scenario.h"
 #include "src/chaos/state_digest.h"
 #include "src/common/hash.h"
 #include "src/common/logging.h"
@@ -22,6 +23,9 @@ namespace {
 // Virtual seconds advanced per pump round; several rounds fit inside
 // one initial_rto, so retransmissions fire within a boundary's pump.
 constexpr double kPumpDt = 0.01;
+// Pump-round bound per boundary (a reliable link that cannot reach
+// quiescence within this many rounds is a bug).
+constexpr int kMaxPumpRounds = 10000;
 
 // StateDigest plus the lost-clock count: a lossy link must not cost
 // clocks either.
@@ -42,27 +46,20 @@ class LossyLinkDriver {
       : config_(config),
         gen_rng_(config.seed ^ 0xB1DB7A1ELL) {
     PROTEUS_CHECK(app != nullptr);
-    PROTEUS_CHECK_GE(config_.initial_reliable, 1);
-    PROTEUS_CHECK_GE(config_.nodes_per_allocation, 1);
     PROTEUS_CHECK_GE(config_.horizon, 1);
 
     // Initial membership joins out of band (job start predates the
     // link); the generator and controller start in agreement on it.
-    std::vector<NodeInfo> nodes;
-    for (int i = 0; i < config_.initial_reliable; ++i) {
-      nodes.push_back({next_node_++, Tier::kReliable, 8, kInvalidAllocation});
-    }
-    for (int a = 0; a < config_.initial_transient_allocations; ++a) {
-      const AllocationId id = next_allocation_++;
-      std::vector<std::int32_t> ids;
-      for (int i = 0; i < config_.nodes_per_allocation; ++i) {
-        const NodeId node = next_node_++;
-        ids.push_back(node);
-        nodes.push_back({node, Tier::kTransient, 8, id});
-        live_nodes_.insert(node);
+    const std::vector<NodeInfo> nodes = InitialNodes();
+    for (const NodeInfo& node : nodes) {
+      ++next_node_;
+      if (node.reliable()) {
+        continue;
       }
-      intended_[id] = ids;
-      seen_allocations_.insert(id);
+      intended_[node.allocation].push_back(node.id);
+      live_nodes_.insert(node.id);
+      seen_allocations_.insert(node.allocation);
+      next_allocation_ = node.allocation + 1;
     }
     runtime_ = std::make_unique<AgileMLRuntime>(app, config_.agileml, nodes);
     auditor_ = std::make_unique<ConsistencyAuditor>(runtime_.get());
@@ -125,7 +122,7 @@ class LossyLinkDriver {
     if (grant) {
       const AllocationId id = next_allocation_++;
       std::vector<std::int32_t> ids;
-      for (int i = 0; i < config_.nodes_per_allocation; ++i) {
+      for (int i = 0; i < kNodesPerAllocation; ++i) {
         ids.push_back(next_node_++);
       }
       intended_[id] = ids;
@@ -158,7 +155,7 @@ class LossyLinkDriver {
     if (reliable_ != nullptr) {
       int rounds = 0;
       while (!reliable_->Quiescent()) {
-        PROTEUS_CHECK_LT(rounds++, config_.max_pump_rounds)
+        PROTEUS_CHECK_LT(rounds++, kMaxPumpRounds)
             << "reliable link failed to reach quiescence";
         link_now_ += kPumpDt;
         reliable_->Tick(link_now_);

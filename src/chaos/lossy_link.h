@@ -40,12 +40,6 @@ struct LossyLinkConfig {
   bool reliable = true;
   int horizon = 40;        // Clocks to run.
   int command_every = 2;   // Issue one command every this many clocks.
-  int initial_reliable = 2;
-  int initial_transient_allocations = 2;
-  int nodes_per_allocation = 4;
-  // Pump-round bound per boundary before giving up (a reliable link
-  // that cannot reach quiescence within this many rounds is a bug).
-  int max_pump_rounds = 10000;
   std::uint64_t seed = 1;
 };
 
@@ -71,7 +65,8 @@ struct LossyLinkResult {
   bool ok() const { return violations.empty(); }
 };
 
-// Runs the full scenario against `app` (must outlive the call);
+// Runs the full scenario against `app` (must outlive the call) from
+// InitialNodes' membership;
 // deterministic in config.seed. Optional observability sinks receive
 // the runtime/transport/auditor streams.
 LossyLinkResult RunLossyLink(MLApp* app, const LossyLinkConfig& config,

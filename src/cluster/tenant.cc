@@ -9,16 +9,6 @@
 namespace proteus {
 namespace cluster {
 
-namespace {
-
-std::uint64_t SplitMix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-}  // namespace
-
 const char* DemandStrategyName(DemandStrategy strategy) {
   switch (strategy) {
     case DemandStrategy::kTruthful:
@@ -73,7 +63,7 @@ std::uint64_t TenantStreamSeed(std::uint64_t fleet_seed, const TenantSpec& spec)
   } else {
     h = Fnv1a(h, spec.name.data(), spec.name.size());
   }
-  return SplitMix(h);
+  return Mix64(h);
 }
 
 }  // namespace cluster

@@ -1,6 +1,7 @@
-// FNV-1a (64-bit): the one non-cryptographic hash behind every replay
-// digest and derived seed in the repo. Callers fold values into a
-// running hash that starts at kFnvOffsetBasis.
+// The repo's non-cryptographic hashes. FNV-1a (64-bit) is behind every
+// replay digest: callers fold values into a running hash that starts at
+// kFnvOffsetBasis. HashCombine and Mix64 derive seeds for pinned random
+// streams, so their output must never change.
 #ifndef SRC_COMMON_HASH_H_
 #define SRC_COMMON_HASH_H_
 
@@ -28,6 +29,20 @@ inline std::uint64_t Fnv1aU64(std::uint64_t h, std::uint64_t v) {
     h = (h ^ ((v >> (8 * i)) & 0xFF)) * kFnvPrime;
   }
   return h;
+}
+
+// Boost-style hash_combine widened to 64 bits: folds `b` into `a`.
+inline std::uint64_t HashCombine(std::uint64_t a, std::uint64_t b) {
+  return a ^ (b + 0x9E3779B97F4A7C15ULL + (a << 6) + (a >> 2));
+}
+
+// One SplitMix64 step (Steele, Lea & Flood): adds the golden-ratio
+// increment to `x` and returns the mixed output.
+inline std::uint64_t Mix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
 }
 
 }  // namespace proteus

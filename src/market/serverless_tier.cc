@@ -3,16 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/common/hash.h"
 #include "src/common/logging.h"
 
 namespace proteus {
-namespace {
-
-std::uint64_t HashCombine(std::uint64_t a, std::uint64_t b) {
-  return a ^ (b + 0x9E3779B97F4A7C15ULL + (a << 6) + (a >> 2));
-}
-
-}  // namespace
 
 const char* ServerlessRevocationCauseName(ServerlessRevocationCause cause) {
   switch (cause) {

@@ -3,19 +3,10 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/common/hash.h"
 #include "src/common/logging.h"
 
 namespace proteus {
-
-namespace {
-// SplitMix64: cheap deterministic hash for per-row init jitter.
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-}  // namespace
 
 ModelStore::ModelStore(std::vector<TableSpec> tables, int num_partitions, std::uint64_t seed)
     : tables_(std::move(tables)), num_partitions_(num_partitions), seed_(seed) {

@@ -52,12 +52,6 @@ void EncodeBody(WireWriter& w, const WorkerReadyMsg& m) {
   w.I64(m.items_loaded);
 }
 
-void EncodeBody(WireWriter& w, const ShardDeltaMsg& m) {
-  w.I32(m.shard);
-  w.I64(m.clock);
-  w.Blob(m.payload);
-}
-
 void EncodeBody(WireWriter& w, const ReliableFrameMsg& m) {
   w.U32(m.session);
   w.VarU64(m.seq);
@@ -142,13 +136,6 @@ std::optional<Message> DecodeBody(MessageType type, WireReader& r) {
       m.items_loaded = r.I64().value_or(0);
       return Finish(r, std::move(m));
     }
-    case MessageType::kShardDelta: {
-      ShardDeltaMsg m;
-      m.shard = r.I32().value_or(0);
-      m.clock = r.I64().value_or(0);
-      m.payload = r.Blob().value_or(std::vector<std::uint8_t>{});
-      return Finish(r, std::move(m));
-    }
     case MessageType::kReliableFrame: {
       ReliableFrameMsg m;
       m.session = r.U32().value_or(0);
@@ -197,7 +184,6 @@ MessageType TypeOf(const Message& message) {
     MessageType operator()(const ParamValueMsg&) const { return MessageType::kParamValue; }
     MessageType operator()(const UpdateParamMsg&) const { return MessageType::kUpdateParam; }
     MessageType operator()(const WorkerReadyMsg&) const { return MessageType::kWorkerReady; }
-    MessageType operator()(const ShardDeltaMsg&) const { return MessageType::kShardDelta; }
     MessageType operator()(const ReliableFrameMsg&) const {
       return MessageType::kReliableFrame;
     }
@@ -226,8 +212,6 @@ const char* MessageTypeName(MessageType type) {
       return "update_param";
     case MessageType::kWorkerReady:
       return "worker_ready";
-    case MessageType::kShardDelta:
-      return "shard_delta";
     case MessageType::kReliableFrame:
       return "reliable_frame";
     case MessageType::kRecoveryNotice:

@@ -30,7 +30,8 @@ enum class MessageType : std::uint8_t {
   kParamValue = 6,
   kUpdateParam = 7,
   kWorkerReady = 8,
-  kShardDelta = 9,
+  // 9 is unassigned: it framed a retired delta-batch message, and the
+  // decoder rejects it like any unknown tag.
   kReliableFrame = 10,
   kRecoveryNotice = 11,
 };
@@ -93,16 +94,6 @@ struct WorkerReadyMsg {
   std::int64_t items_loaded = 0;
 };
 
-// Coalesced per-shard delta buffer (worker cache -> ActivePS push, or
-// ActivePS -> BackupPS background sync). `payload` is a pre-encoded
-// delta batch (see EncodeDeltaBatch in serializer.h) embedded as an
-// opaque blob, so framing never re-walks the rows.
-struct ShardDeltaMsg {
-  std::int32_t shard = 0;
-  std::int64_t clock = 0;
-  std::vector<std::uint8_t> payload;
-};
-
 // Reliable-transport envelope (see src/rpc/reliable.h): a sequenced
 // data frame or a pure ack, carried over the raw Channel. `seq == 0`
 // marks an ack-only frame (data sequence numbers start at 1). `cum_ack`
@@ -132,7 +123,7 @@ struct RecoveryNoticeMsg {
 using Message =
     std::variant<AppCharacteristicsMsg, AllocationRequestMsg, AllocationGrantMsg,
                  EvictionNoticeMsg, ReadParamMsg, ParamValueMsg, UpdateParamMsg,
-                 WorkerReadyMsg, ShardDeltaMsg, ReliableFrameMsg, RecoveryNoticeMsg>;
+                 WorkerReadyMsg, ReliableFrameMsg, RecoveryNoticeMsg>;
 
 // Frames (type tag + payload) any message.
 std::vector<std::uint8_t> EncodeMessage(const Message& message);

@@ -15,9 +15,6 @@
 
 namespace proteus {
 
-// Encoded size of an unsigned LEB128 varint (1..10 bytes).
-std::size_t VarU64Size(std::uint64_t v);
-
 class WireWriter {
  public:
   void U8(std::uint8_t v) { buf_.push_back(v); }
@@ -32,11 +29,8 @@ class WireWriter {
   void FloatArray(std::span<const float> values);
   void I32Array(std::span<const std::int32_t> values);
   // Opaque length-prefixed byte blob (embeds pre-encoded payloads, e.g.
-  // a coalesced delta batch, without re-framing the contents).
+  // a reliable frame's inner message, without re-framing the contents).
   void Blob(std::span<const std::uint8_t> bytes);
-  void RawFloats(std::span<const float> values) {
-    AppendRaw(values.data(), values.size() * sizeof(float));
-  }
 
   void Reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
@@ -74,8 +68,6 @@ class WireReader {
   std::optional<std::vector<float>> FloatArray();
   std::optional<std::vector<std::int32_t>> I32Array();
   std::optional<std::vector<std::uint8_t>> Blob();
-  // Appends exactly `n` raw floats to `out`; false (and failed) on underflow.
-  bool RawFloats(std::size_t n, std::vector<float>& out);
 
   bool failed() const { return failed_; }
   bool AtEnd() const { return !failed_ && offset_ == data_.size(); }
@@ -91,60 +83,6 @@ class WireReader {
   std::size_t offset_ = 0;
   bool failed_ = false;
 };
-
-// --- Coalesced delta batches (the sharded PS hot-path wire format) ---
-//
-// A delta batch carries every row a worker (or an ActivePS backup
-// stream) needs to move in one frame, replacing per-row UpdateParamMsg
-// framing. Layout:
-//
-//   u8      format version (kDeltaBatchVersion)
-//   varint  row count
-//   per row, keys strictly ascending:
-//     varint  key delta (first row: the key; later rows: key - prev key)
-//     varint  cols
-//     f32[cols] raw little-endian payload
-//
-// Encoding sorts rows by key and coalesces duplicates by component-wise
-// addition (in input order, so the float sum is deterministic). The
-// encoder computes the exact output size up front and makes a single
-// allocation; DeltaBatchEncodedBytes exposes the same size computation
-// so byte accounting can be done without materializing a buffer.
-
-inline constexpr std::uint8_t kDeltaBatchVersion = 1;
-
-// One row of a batch to encode. `key` is an opaque 64-bit row id (the
-// PS packs table and row into it); all rows sharing a key must agree on
-// values.size().
-struct DeltaRow {
-  std::uint64_t key = 0;
-  std::span<const float> values;
-};
-
-// Exact encoded size of a batch whose post-coalescing rows have the
-// given strictly-ascending keys and per-row widths.
-std::size_t DeltaBatchEncodedBytes(std::span<const std::uint64_t> sorted_keys,
-                                   std::span<const std::uint32_t> cols);
-
-// Sorts, coalesces duplicates (summing), and encodes in one allocation.
-std::vector<std::uint8_t> EncodeDeltaBatch(std::span<const DeltaRow> rows);
-
-// Decoded batch: rows in ascending key order, float payloads packed into
-// one contiguous buffer (row i spans values[offsets[i]..offsets[i+1])).
-struct DecodedDeltaBatch {
-  std::vector<std::uint64_t> keys;
-  std::vector<std::size_t> offsets;  // keys.size() + 1 entries.
-  std::vector<float> values;
-
-  std::size_t rows() const { return keys.size(); }
-  std::span<const float> row(std::size_t i) const {
-    return std::span<const float>(values).subspan(offsets[i], offsets[i + 1] - offsets[i]);
-  }
-};
-
-// Returns nullopt on truncation, trailing garbage, a bad version byte,
-// non-ascending keys, or hostile lengths. Never reads out of bounds.
-std::optional<DecodedDeltaBatch> DecodeDeltaBatch(std::span<const std::uint8_t> buf);
 
 }  // namespace proteus
 

@@ -24,6 +24,13 @@ class ClusterSchedulerTest : public ::testing::Test {
     scheduler_ = std::make_unique<ClusterScheduler>(&catalog_, &traces_, &estimator_);
   }
 
+  // "t0", "t1", ...
+  static std::string TenantName(int i) {
+    std::string name = "t";
+    name += std::to_string(i);
+    return name;
+  }
+
   static TenantSpec Tenant(const std::string& name, double slot_hours, int max_slots) {
     TenantSpec spec;
     spec.name = name;
@@ -83,7 +90,7 @@ TEST_F(ClusterSchedulerTest, EmptyFleetRunsTheHorizonWithoutWork) {
 TEST_F(ClusterSchedulerTest, GrantsRespectCapacityAndCreditsConserve) {
   std::vector<TenantSpec> specs;
   for (int i = 0; i < 4; ++i) {
-    specs.push_back(Tenant("t" + std::to_string(i), 500.0, 12));
+    specs.push_back(Tenant(TenantName(i), 500.0, 12));
   }
   const FleetResult result = Run(specs, Config(10));
   ASSERT_FALSE(result.rounds.empty());
@@ -179,7 +186,7 @@ TEST_F(ClusterSchedulerTest, CancellationDuringPrepYieldsNoUsefulWork) {
 TEST_F(ClusterSchedulerTest, DigestIsByteIdenticalAcrossThreadCounts) {
   std::vector<TenantSpec> specs;
   for (int i = 0; i < 6; ++i) {
-    TenantSpec spec = Tenant("t" + std::to_string(i), 300.0, 10);
+    TenantSpec spec = Tenant(TenantName(i), 300.0, 10);
     spec.active_fraction = 0.6;
     spec.demand_seed = 40 + static_cast<std::uint64_t>(i);
     if (i == 4) {

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "src/common/csv.h"
+#include "src/common/hash.h"
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -25,6 +26,24 @@ TEST(Types, FormatDuration) {
 TEST(Types, FormatMoney) {
   EXPECT_EQ(FormatMoney(1.5), "$1.5000");
   EXPECT_EQ(FormatMoney(-0.25), "-$0.2500");
+}
+
+// HashCombine and Mix64 seed pinned random streams (per-worker draws in
+// the runtime, serverless storm draws, PS row init, backtest cells,
+// tenant demand), so their outputs are pinned to the exact bits.
+TEST(Hash, HashCombinePinned) {
+  EXPECT_EQ(HashCombine(0, 0), 0x9E3779B97F4A7C15ULL);
+  EXPECT_EQ(HashCombine(1, 2), 0x9E3779B97F4A7C56ULL);
+  EXPECT_EQ(HashCombine(42, HashCombine(7, 3)), 0x3C6EF372FE950457ULL);
+  EXPECT_EQ(HashCombine(~0ULL, ~0ULL), 0x21C8864680B5842CULL);
+}
+
+TEST(Hash, Mix64Pinned) {
+  // SplitMix64's first output for state 0 is the published reference value.
+  EXPECT_EQ(Mix64(0), 0xE220A8397B1DCDAFULL);
+  EXPECT_EQ(Mix64(1), 0x910A2DEC89025CC1ULL);
+  EXPECT_EQ(Mix64(0xDEADBEEFULL), 0x4ADFB90F68C9EB9BULL);
+  EXPECT_EQ(Mix64(~0ULL), 0xE4D971771B652C20ULL);
 }
 
 TEST(Rng, UniformBounds) {

@@ -12,12 +12,14 @@ namespace {
 
 TEST(Serializer, ScalarRoundTrip) {
   WireWriter w;
+  w.Reserve(1 + 4 + 8 + 4 + 8 + 8);  // The exact encoded size: no regrowth.
   w.U8(7);
   w.U32(123456);
   w.U64(1ULL << 40);
   w.I32(-42);
   w.I64(-(1LL << 33));
   w.F64(3.14159);
+  EXPECT_EQ(w.bytes().size(), 33u);
   WireReader r(w.bytes());
   EXPECT_EQ(r.U8().value(), 7);
   EXPECT_EQ(r.U32().value(), 123456u);
@@ -62,6 +64,49 @@ TEST(Serializer, HostileLengthRejectedWithoutAllocation) {
   EXPECT_TRUE(r.failed());
 }
 
+// WireReader::VarU64 parses checkpoint manifests and reliable frames;
+// a varint that overflows 64 bits or runs past 10 bytes must fail.
+TEST(Serializer, VarintOverflowRejected) {
+  WireWriter max;
+  max.VarU64(~0ULL);
+  WireReader max_reader(max.bytes());
+  EXPECT_EQ(max_reader.VarU64().value(), ~0ULL);
+  EXPECT_TRUE(max_reader.AtEnd());
+
+  // Nine continuation bytes, then a tenth carrying bits above 2^64.
+  WireWriter overflow;
+  for (int i = 0; i < 9; ++i) {
+    overflow.U8(0xFF);
+  }
+  overflow.U8(0x7F);
+  WireReader overflow_reader(overflow.bytes());
+  EXPECT_FALSE(overflow_reader.VarU64().has_value());
+  EXPECT_TRUE(overflow_reader.failed());
+
+  // A tenth byte that fits but still sets the continuation bit.
+  WireWriter too_long;
+  for (int i = 0; i < 9; ++i) {
+    too_long.U8(0x80);
+  }
+  too_long.U8(0x81);
+  too_long.U8(0x00);
+  WireReader too_long_reader(too_long.bytes());
+  EXPECT_FALSE(too_long_reader.VarU64().has_value());
+  EXPECT_TRUE(too_long_reader.failed());
+}
+
+TEST(Serializer, TruncatedVarintFailsCleanly) {
+  WireWriter w;
+  w.VarU64(1ULL << 40);  // Six bytes on the wire.
+  const std::vector<std::uint8_t>& bytes = w.bytes();
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    WireReader r(std::span(bytes.data(), n));
+    EXPECT_FALSE(r.VarU64().has_value()) << "prefix " << n;
+    EXPECT_TRUE(r.failed()) << "prefix " << n;
+    EXPECT_FALSE(r.U8().has_value()) << "prefix " << n;
+  }
+}
+
 TEST(Messages, AllTypesRoundTrip) {
   const std::vector<Message> originals = {
       AppCharacteristicsMsg{0.95, 30.0, 60.0, 8.0},
@@ -96,6 +141,14 @@ TEST(Messages, UnknownTagRejected) {
   std::vector<std::uint8_t> frame{0xEE, 0, 0, 0};
   EXPECT_FALSE(DecodeMessage(frame).has_value());
   EXPECT_FALSE(DecodeMessage({}).has_value());
+  // Tag 9 is unassigned: a frame in the retired delta-batch layout
+  // (i32 shard, i64 clock, empty blob) must not decode.
+  WireWriter retired;
+  retired.U8(9);
+  retired.I32(0);
+  retired.I64(0);
+  retired.Blob({});
+  EXPECT_FALSE(DecodeMessage(retired.bytes()).has_value());
 }
 
 TEST(Messages, TrailingGarbageRejected) {
