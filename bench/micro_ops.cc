@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot operations of the
 // parameter-server substrate: row reads/updates, backup sync, checkpoint
 // serialize/write/restore, fabric accounting, cost-model evaluation, and
-// one MF and one MLR clock through the runtime.
+// one MF and one MLR clock through the runtime; plus the market setup
+// (synthetic trace generation and eviction-estimator training).
 //
 // Two modes:
 //   micro_ops [gbench flags]          normal google-benchmark run
@@ -17,6 +18,8 @@
 
 #include "bench/support.h"
 #include "src/bidbrain/cost_model.h"
+#include "src/bidbrain/eviction_estimator.h"
+#include "src/market/trace_gen.h"
 #include "src/ps/checkpoint_store.h"
 #include "src/ps/model.h"
 #include "src/rpc/messages.h"
@@ -247,6 +250,50 @@ void BM_MlrProcessClock(benchmark::State& state) {
 }
 BENCHMARK(BM_MlrProcessClock);
 
+// --- Market setup at the spot_mlr benchmark's shape: 4 zones x the 6
+// default instance types, 90 days of synthetic prices, the estimator
+// trained on the first 45.
+constexpr SimDuration kMarketHorizon = 90 * kDay;
+
+TraceStore MakeMarketTraces() {
+  SyntheticTraceConfig config;
+  config.spikes_per_day = 3.0;
+  Rng rng(1);
+  return TraceStore::GenerateSynthetic(InstanceTypeCatalog::Default(),
+                                       {"us-east-1a", "us-east-1b", "us-east-1c", "us-east-1d"},
+                                       kMarketHorizon, config, rng);
+}
+
+std::size_t TotalPoints(const TraceStore& traces) {
+  std::size_t points = 0;
+  for (const MarketKey& key : traces.Keys()) {
+    points += traces.Get(key).size();
+  }
+  return points;
+}
+
+void BM_TraceGen(benchmark::State& state) {
+  std::size_t points = 0;
+  for (auto _ : state) {
+    points = TotalPoints(MakeMarketTraces());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(points));
+}
+BENCHMARK(BM_TraceGen)->Unit(benchmark::kMillisecond);
+
+void BM_EstimatorTrain(benchmark::State& state) {
+  const TraceStore traces = MakeMarketTraces();
+  for (auto _ : state) {
+    EvictionEstimator estimator;
+    estimator.Train(traces, 0.0, kMarketHorizon / 2);
+    benchmark::DoNotOptimize(estimator.trained());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(traces.Keys().size()));
+}
+BENCHMARK(BM_EstimatorTrain)->Unit(benchmark::kMillisecond);
+
 // --- --bench_json mode: the headline numbers CI tracks as an artifact.
 // Self-timed (steady_clock) instead of going through google-benchmark so
 // the output schema is ours and stays stable across benchmark-library
@@ -325,6 +372,24 @@ std::vector<bench::BenchJsonRow> RunJsonBenches() {
         [&] { benchmark::DoNotOptimize(fixture.runtime.RunClock().duration); });
     rows.push_back({"mlr_process_clock", "items_per_sec",
                     static_cast<double>(fixture.data.size()) / spi, "items/s"});
+  }
+
+  // Market setup: synthetic price points generated per second, and
+  // markets trained per second.
+  {
+    std::size_t points = 0;
+    const double spi = SecondsPerIter([&] { points = TotalPoints(MakeMarketTraces()); });
+    rows.push_back({"trace_gen", "points_per_sec", static_cast<double>(points) / spi, "points/s"});
+  }
+  {
+    const TraceStore traces = MakeMarketTraces();
+    const double spi = SecondsPerIter([&] {
+      EvictionEstimator estimator;
+      estimator.Train(traces, 0.0, kMarketHorizon / 2);
+      benchmark::DoNotOptimize(estimator.trained());
+    });
+    rows.push_back({"estimator_train", "markets_per_sec",
+                    static_cast<double>(traces.Keys().size()) / spi, "markets/s"});
   }
   return rows;
 }

@@ -37,39 +37,60 @@ void EvictionEstimator::Train(const TraceStore& history, SimTime train_begin, Si
   std::sort(delta_grid_.begin(), delta_grid_.end());
   stats_.clear();
 
+  const std::size_t num_deltas = delta_grid_.size();
   for (const MarketKey& key : history.Keys()) {
-    const PriceSeries& series = history.Get(key);
-    if (series.empty()) {
+    const std::vector<PricePoint>& points = history.Get(key).points();
+    if (points.empty()) {
       // No price points at all: leave the market out of stats_ so
       // Estimate serves the pessimistic prior instead of replaying an
-      // empty history (PriceAt on an empty series is a CHECK failure).
+      // empty history.
       continue;
     }
-    std::vector<EvictionStats> per_delta;
-    per_delta.reserve(delta_grid_.size());
-    for (const Money delta : delta_grid_) {
-      int evicted = 0;
-      int samples = 0;
-      SampleStats times;
-      for (SimTime t = train_begin; t + kHour <= train_end; t += sample_step) {
-        const Money bid = series.PriceAt(t) + delta;
-        // A crossing at exactly t would mean the bid was never granted;
-        // we bid above the current price so the first crossing is later.
-        const std::optional<SimTime> crossing = series.FirstTimeAbove(bid, t, t + kHour);
-        ++samples;
-        if (crossing.has_value()) {
-          ++evicted;
-          times.Add(*crossing - t);
+    std::vector<int> evicted(num_deltas, 0);
+    std::vector<SampleStats> times(num_deltas);
+    int samples = 0;
+    // Last point at or before t, or 0 while t precedes the first point
+    // (PriceSeries::IndexAt); t only grows, so the cursor only advances.
+    std::size_t at = 0;
+    for (SimTime t = train_begin; t + kHour <= train_end; t += sample_step) {
+      while (at + 1 < points.size() && points[at + 1].time <= t) {
+        ++at;
+      }
+      const Money price = points[at].price;
+      const SimTime horizon = t + kHour;
+      ++samples;
+      // Bids (price + delta) grow with the sorted delta, so first
+      // crossings come in delta order: resolve delta d at the first
+      // point whose price exceeds its bid, then move on to d + 1 there.
+      auto evict = [&](std::size_t d, SimTime crossing) {
+        ++evicted[d];
+        times[d].Add(crossing - t);
+      };
+      std::size_t d = 0;
+      // A bid below the current price is crossed at t itself.
+      while (d < num_deltas && price > price + delta_grid_[d]) {
+        evict(d++, t);
+      }
+      for (std::size_t i = at + 1;
+           d < num_deltas && i < points.size() && points[i].time <= horizon; ++i) {
+        while (d < num_deltas && points[i].price > price + delta_grid_[d]) {
+          evict(d++, points[i].time);
         }
       }
-      EvictionStats stats;
-      stats.samples = samples;
-      stats.beta = samples > 0 ? static_cast<double>(evicted) / samples : 0.0;
-      stats.median_time_to_eviction = times.empty() ? kHour : times.Median();
-      per_delta.push_back(stats);
+    }
+    std::vector<EvictionStats> per_delta(num_deltas);
+    for (std::size_t d = 0; d < num_deltas; ++d) {
+      per_delta[d].samples = samples;
+      per_delta[d].beta = samples > 0 ? static_cast<double>(evicted[d]) / samples : 0.0;
+      per_delta[d].median_time_to_eviction = times[d].empty() ? kHour : times[d].Median();
     }
     stats_[key] = std::move(per_delta);
   }
+}
+
+const std::vector<EvictionStats>* EvictionEstimator::TrainedStats(const MarketKey& market) const {
+  auto it = stats_.find(market);
+  return it == stats_.end() ? nullptr : &it->second;
 }
 
 EvictionStats EvictionEstimator::Estimate(const MarketKey& market, Money bid_delta) const {

@@ -8,6 +8,14 @@
 // This yields beta (probability of eviction within the hour) and the
 // median time-to-eviction per (market, delta) — the paper trains on
 // March-June 2016 and evaluates on a disjoint later window.
+//
+// The replay is one forward pass per market. A cursor that only advances
+// tracks the price in effect at each sample instant, and one scan of the
+// hour after it resolves every delta at once: the sorted grid makes the
+// bids non-decreasing, so each delta's first crossing is no earlier than
+// the previous delta's. The result equals bidding each delta separately
+// through PriceSeries::PriceAt and FirstTimeAbove, bit for bit
+// (tests/eviction_estimator_test.cc keeps that form as an oracle).
 #ifndef SRC_BIDBRAIN_EVICTION_ESTIMATOR_H_
 #define SRC_BIDBRAIN_EVICTION_ESTIMATOR_H_
 
@@ -61,6 +69,11 @@ class EvictionEstimator : public EvictionModel {
   EvictionStats Estimate(const MarketKey& market, Money bid_delta) const override;
 
   const std::vector<Money>& delta_grid() const { return delta_grid_; }
+
+  // The trained stats of `market`, one per grid delta (samples == 0 when
+  // the window held no complete billing hour), or nullptr when the
+  // market was not trained.
+  const std::vector<EvictionStats>* TrainedStats(const MarketKey& market) const;
 
  private:
   std::vector<Money> delta_grid_;

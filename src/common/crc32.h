@@ -1,5 +1,5 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) for framing
-// durable checkpoint chunks and manifests. Table-driven, no
+// durable checkpoint chunks and manifests. Table-driven (slicing-by-8), no
 // dependencies; the incremental form lets callers checksum a frame
 // while streaming it.
 #ifndef SRC_COMMON_CRC32_H_

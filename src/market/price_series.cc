@@ -43,11 +43,11 @@ std::size_t PriceSeries::IndexAt(SimTime t) const {
 Money PriceSeries::PriceAt(SimTime t) const { return points_[IndexAt(t)].price; }
 
 std::optional<SimTime> PriceSeries::FirstTimeAbove(Money bid, SimTime from, SimTime horizon) const {
-  PROTEUS_CHECK(!points_.empty());
-  if (PriceAt(from) > bid) {
+  const std::size_t at = IndexAt(from);
+  if (points_[at].price > bid) {
     return from;
   }
-  for (std::size_t i = IndexAt(from) + 1; i < points_.size(); ++i) {
+  for (std::size_t i = at + 1; i < points_.size(); ++i) {
     if (points_[i].time > horizon) {
       break;
     }
@@ -59,16 +59,18 @@ std::optional<SimTime> PriceSeries::FirstTimeAbove(Money bid, SimTime from, SimT
 }
 
 Money PriceSeries::MinPrice(SimTime from, SimTime to) const {
-  Money best = PriceAt(from);
-  for (std::size_t i = IndexAt(from) + 1; i < points_.size() && points_[i].time <= to; ++i) {
+  const std::size_t at = IndexAt(from);
+  Money best = points_[at].price;
+  for (std::size_t i = at + 1; i < points_.size() && points_[i].time <= to; ++i) {
     best = std::min(best, points_[i].price);
   }
   return best;
 }
 
 Money PriceSeries::MaxPrice(SimTime from, SimTime to) const {
-  Money best = PriceAt(from);
-  for (std::size_t i = IndexAt(from) + 1; i < points_.size() && points_[i].time <= to; ++i) {
+  const std::size_t at = IndexAt(from);
+  Money best = points_[at].price;
+  for (std::size_t i = at + 1; i < points_.size() && points_[i].time <= to; ++i) {
     best = std::max(best, points_[i].price);
   }
   return best;
@@ -78,8 +80,9 @@ Money PriceSeries::AveragePrice(SimTime from, SimTime to) const {
   PROTEUS_CHECK_GT(to, from);
   double weighted = 0.0;
   SimTime cursor = from;
-  Money current = PriceAt(from);
-  for (std::size_t i = IndexAt(from) + 1; i < points_.size() && points_[i].time < to; ++i) {
+  const std::size_t at = IndexAt(from);
+  Money current = points_[at].price;
+  for (std::size_t i = at + 1; i < points_.size() && points_[i].time < to; ++i) {
     weighted += current * (points_[i].time - cursor);
     cursor = points_[i].time;
     current = points_[i].price;

@@ -40,15 +40,27 @@ PriceSeries GenerateSyntheticTrace(const InstanceType& type, SimDuration duratio
   PriceSeries series;
   double log_price = log_base;
   Money last_emitted = -1.0;
+  // Spikes are drawn in start order and `now` only grows, so the spikes
+  // that have started and may still be live form a window [live, started)
+  // of the list: spikes before it have ended for good.
+  std::size_t live = 0;
+  std::size_t started = 0;
   for (SimTime now = 0.0; now < duration; now += config.step) {
     // Quiet-regime OU step.
     log_price += config.reversion * (log_base - log_price) + rng.Normal(0.0, config.volatility);
     Money price = std::exp(log_price);
-    // Spike overlay: while inside a spike window, the price ramps to the
-    // peak and decays linearly — crossings happen at window edges.
-    for (const Spike& spike : spikes) {
-      if (now >= spike.start && now < spike.end) {
-        price = std::max(price, spike.peak);
+    while (started < spikes.size() && spikes[started].start <= now) {
+      ++started;
+    }
+    while (live < started && spikes[live].end <= now) {
+      ++live;
+    }
+    // Spike overlay: inside a spike window the price is at least the
+    // spike's peak, so crossings happen at window edges. The first live
+    // spike in draw order sets the peak.
+    for (std::size_t i = live; i < started; ++i) {
+      if (now < spikes[i].end) {
+        price = std::max(price, spikes[i].peak);
         break;
       }
     }

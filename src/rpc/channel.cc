@@ -105,7 +105,7 @@ void Channel::BindMetrics() {
       MessageType::kAllocationGrant,    MessageType::kEvictionNotice,
       MessageType::kReadParam,          MessageType::kParamValue,
       MessageType::kUpdateParam,        MessageType::kWorkerReady,
-      MessageType::kReliableFrame};
+      MessageType::kReliableFrame,      MessageType::kRecoveryNotice};
   TypeCounters* const all[] = {&sent_counters_,    &bytes_counters_,   &delivered_counters_,
                                &dropped_counters_, &delayed_counters_, &duplicated_counters_};
   for (TypeCounters* counters : all) {

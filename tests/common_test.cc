@@ -3,7 +3,10 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "src/common/crc32.h"
 #include "src/common/csv.h"
 #include "src/common/hash.h"
 #include "src/common/logging.h"
@@ -44,6 +47,51 @@ TEST(Hash, Mix64Pinned) {
   EXPECT_EQ(Mix64(1), 0x910A2DEC89025CC1ULL);
   EXPECT_EQ(Mix64(0xDEADBEEFULL), 0x4ADFB90F68C9EB9BULL);
   EXPECT_EQ(Mix64(~0ULL), 0xE4D971771B652C20ULL);
+}
+
+// Bit-at-a-time CRC-32 (reflected 0xEDB88320), the definition the table
+// forms must reproduce.
+std::uint32_t BitwiseCrc32(const std::uint8_t* data, std::size_t n) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, KnownVector) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32({reinterpret_cast<const std::uint8_t*>(check.data()), check.size()}),
+            0xCBF43926u);
+  EXPECT_EQ(Crc32({}), 0u);
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Random lengths 0-4099 at every start offset 0-7, so the 8-byte
+  // blocks meet every alignment and every tail length.
+  Rng rng(4099);
+  std::vector<std::uint8_t> buffer(4099 + 8);
+  for (std::uint8_t& b : buffer) {
+    b = static_cast<std::uint8_t>(rng.UniformInt(0, 255));
+  }
+  std::vector<std::size_t> lengths = {0, 1, 7, 8, 9, 15, 16, 17, 4099};
+  for (int i = 0; i < 120; ++i) {
+    lengths.push_back(static_cast<std::size_t>(rng.UniformInt(0, 4099)));
+  }
+  for (const std::size_t len : lengths) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::uint8_t* p = buffer.data() + offset;
+      const std::uint32_t want = BitwiseCrc32(p, len);
+      ASSERT_EQ(Crc32({p, len}), want) << "len " << len << " offset " << offset;
+      // The incremental form split at an arbitrary point agrees too.
+      const std::size_t cut = len == 0 ? 0 : static_cast<std::size_t>(rng.UniformInt(0, len));
+      const std::uint32_t crc = Crc32Update(Crc32Update(Crc32Init(), {p, cut}), {p + cut, len - cut});
+      ASSERT_EQ(Crc32Final(crc), want) << "len " << len << " cut " << cut;
+    }
+  }
 }
 
 TEST(Rng, UniformBounds) {

@@ -2,6 +2,10 @@
 // must hold for every allocation regardless of market behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/market/spot_market.h"
 #include "src/market/trace_gen.h"
@@ -97,6 +101,84 @@ TEST_P(MarketPropertyTest, NeverGrantedBelowMarket) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MarketPropertyTest, ::testing::Range(1, 7));
+
+// Oracle: the trace generator with the spike overlay done as a full scan
+// of every drawn spike at every step (first live spike in draw order
+// wins). GenerateSyntheticTrace keeps a window of live spikes instead
+// and must emit the same points and leave the RNG in the same state.
+PriceSeries FullScanTrace(const InstanceType& type, SimDuration duration,
+                          const SyntheticTraceConfig& config, Rng& rng) {
+  const Money od = type.on_demand_price;
+  const double log_base = std::log(od * config.base_fraction);
+  const Money floor = od * config.floor_fraction;
+  struct Spike {
+    SimTime start;
+    SimTime end;
+    Money peak;
+  };
+  std::vector<Spike> spikes;
+  const double spike_rate = config.spikes_per_day / kDay;
+  SimTime t = 0.0;
+  while (spike_rate > 0.0) {
+    t += rng.ExponentialMean(1.0 / spike_rate);
+    if (t >= duration) {
+      break;
+    }
+    const double log_min = std::log(config.spike_multiple_min);
+    const double log_max = std::log(config.spike_multiple_max);
+    const double multiple = std::exp(rng.Uniform(log_min, log_max));
+    const SimDuration len = std::max(config.step, rng.ExponentialMean(config.spike_duration_mean));
+    spikes.push_back({t, t + len, od * multiple});
+  }
+  PriceSeries series;
+  double log_price = log_base;
+  Money last_emitted = -1.0;
+  for (SimTime now = 0.0; now < duration; now += config.step) {
+    log_price += config.reversion * (log_base - log_price) + rng.Normal(0.0, config.volatility);
+    Money price = std::exp(log_price);
+    for (const Spike& spike : spikes) {
+      if (now >= spike.start && now < spike.end) {
+        price = std::max(price, spike.peak);
+        break;
+      }
+    }
+    price = std::max(price, floor);
+    price = std::round(price * 1000.0) / 1000.0;
+    if (price != last_emitted) {
+      series.Append(now, price);
+      last_emitted = price;
+    }
+  }
+  if (series.empty()) {
+    series.Append(0.0, std::max(floor, std::exp(log_base)));
+  }
+  return series;
+}
+
+TEST(SyntheticTraceOracle, SpikeWindowMatchesFullScan) {
+  const InstanceTypeCatalog catalog = InstanceTypeCatalog::Default();
+  for (const double spikes_per_day : {0.0, 3.0, 48.0}) {
+    // The default short spikes, and spikes long enough to overlap.
+    for (const SimDuration mean : {20 * kMinute, 6 * kHour}) {
+      for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        SyntheticTraceConfig config;
+        config.spikes_per_day = spikes_per_day;
+        config.spike_duration_mean = mean;
+        const InstanceType& type = catalog.Get(seed % 2 == 0 ? "c4.xlarge" : "m4.2xlarge");
+        Rng rng(seed);
+        Rng oracle_rng(seed);
+        const PriceSeries got = GenerateSyntheticTrace(type, 10 * kDay, config, rng);
+        const PriceSeries want = FullScanTrace(type, 10 * kDay, config, oracle_rng);
+        ASSERT_EQ(got.size(), want.size()) << spikes_per_day << " " << mean << " " << seed;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got.points()[i].time, want.points()[i].time) << "point " << i;
+          ASSERT_EQ(got.points()[i].price, want.points()[i].price) << "point " << i;
+        }
+        EXPECT_EQ(rng.Uniform(), oracle_rng.Uniform());
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace proteus

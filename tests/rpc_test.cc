@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <utility>
+#include <variant>
 
 #include "src/common/rng.h"
+#include "src/obs/metrics.h"
 #include "src/rpc/channel.h"
 #include "src/rpc/messages.h"
 #include "src/rpc/serializer.h"
@@ -234,6 +237,41 @@ TEST(Channel, CountsMessagesAndBytes) {
   channel.Send(Message(WorkerReadyMsg{2, 100}));
   EXPECT_EQ(channel.messages_sent(), 2u);
   EXPECT_GT(channel.bytes_sent(), 2u * 8u);
+}
+
+template <std::size_t... I>
+std::vector<Message> OneOfEachAlternative(std::index_sequence<I...>) {
+  return {Message(std::in_place_index<I>)...};
+}
+
+TEST(Channel, EveryMessageTypeHasMetricSeries) {
+  // One frame of every Message alternative, so a type added later is
+  // covered here without editing this test: each must get its own
+  // type=<name> series rather than fall into the unexported catch-all.
+  const std::vector<Message> messages =
+      OneOfEachAlternative(std::make_index_sequence<std::variant_size_v<Message>>{});
+  obs::MetricsRegistry metrics;
+  Channel channel;
+  channel.SetObservability(&metrics, "ctl");
+  std::vector<int> tags;
+  for (const Message& message : messages) {
+    channel.Send(message);
+    tags.push_back(static_cast<int>(TypeOf(message)));
+  }
+  EXPECT_EQ(tags, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8, 10, 11}));
+  while (channel.Poll().has_value()) {
+  }
+  const obs::MetricsSnapshot snapshot = metrics.Snapshot();
+  for (const Message& message : messages) {
+    const obs::Labels labels = {{"channel", "ctl"}, {"type", MessageTypeName(TypeOf(message))}};
+    EXPECT_EQ(snapshot.Value("rpc.messages.sent", labels), 1.0) << labels[1].second;
+    EXPECT_EQ(snapshot.Value("rpc.messages.delivered", labels), 1.0) << labels[1].second;
+    EXPECT_GT(snapshot.Value("rpc.bytes.sent", labels), 0.0) << labels[1].second;
+    for (const char* name :
+         {"rpc.messages.dropped", "rpc.messages.delayed", "rpc.messages.duplicated"}) {
+      EXPECT_NE(snapshot.Find(name, labels), nullptr) << name << " " << labels[1].second;
+    }
+  }
 }
 
 TEST(Channel, DuplicateFaultDeliversExtraCopies) {
