@@ -2,8 +2,8 @@
 // stored spot-price traces (DESIGN.md §9).
 //
 // The engine enumerates (policy x reference-instance-type x window)
-// cells. Each cell runs JobSimulator's policy-driven event loop — the
-// exact loop the paper's kProteus scheme uses — over one sliding window
+// cells. Each cell runs JobSimulator's event loop — the one loop every
+// paper scheme uses — with elastic recovery over one sliding window
 // of the traces, and produces a per-cell row of cost / work / E_A /
 // evictions / free-compute / machine-hours. Cells fan out across a
 // ThreadPool.

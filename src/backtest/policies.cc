@@ -1,89 +1,13 @@
 #include "src/backtest/policies.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 
 #include "src/bidbrain/bidbrain.h"
-#include "src/bidbrain/tier_policy.h"
 #include "src/common/logging.h"
 
 namespace proteus {
 namespace backtest {
-
-namespace {
-
-int LiveSpotVcpus(const InstanceTypeCatalog& catalog, const std::vector<LiveAllocation>& live) {
-  int vcpus = 0;
-  for (const LiveAllocation& alloc : live) {
-    if (alloc.on_demand) {
-      continue;
-    }
-    const InstanceType* type = catalog.Find(alloc.market.instance_type);
-    if (type != nullptr) {
-      vcpus += alloc.count * type->vcpus;
-    }
-  }
-  return vcpus;
-}
-
-}  // namespace
-
-std::vector<BidAction> OnDemandOnlyPolicy::Decide(SimTime /*now*/,
-                                                  const std::vector<LiveAllocation>& /*live*/)
-    const {
-  return {};
-}
-
-FixedDeltaSpotPolicy::FixedDeltaSpotPolicy(const InstanceTypeCatalog* catalog,
-                                           const TraceStore* prices, Money bid_delta,
-                                           int target_vcpus)
-    : catalog_(catalog), prices_(prices), bid_delta_(bid_delta), target_vcpus_(target_vcpus) {
-  PROTEUS_CHECK(catalog_ != nullptr);
-  PROTEUS_CHECK(prices_ != nullptr);
-  PROTEUS_CHECK_GE(bid_delta_, 0.0);
-  PROTEUS_CHECK_GT(target_vcpus_, 0);
-}
-
-std::string FixedDeltaSpotPolicy::name() const {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "fixed_delta_%.4f", bid_delta_);
-  return buf;
-}
-
-std::vector<BidAction> FixedDeltaSpotPolicy::Decide(
-    SimTime now, const std::vector<LiveAllocation>& live) const {
-  const int deficit = target_vcpus_ - LiveSpotVcpus(*catalog_, live);
-  if (deficit <= 0) {
-    return {};
-  }
-  // Cheapest market by price per vCPU right now.
-  const MarketKey* best = nullptr;
-  double best_ppc = std::numeric_limits<double>::infinity();
-  Money best_price = 0.0;
-  const std::vector<MarketKey> markets = prices_->Keys();
-  for (const MarketKey& key : markets) {
-    const InstanceType* type = catalog_->Find(key.instance_type);
-    if (type == nullptr) {
-      continue;
-    }
-    const Money price = prices_->Get(key).PriceAt(now);
-    const double ppc = price / type->vcpus;
-    if (ppc < best_ppc) {
-      best_ppc = ppc;
-      best = &key;
-      best_price = price;
-    }
-  }
-  if (best == nullptr) {
-    return {};
-  }
-  const InstanceType& type = catalog_->Get(best->instance_type);
-  const int count = (deficit + type.vcpus - 1) / type.vcpus;
-  return {{BidAction::Kind::kAcquire, *best, count, best_price + bid_delta_,
-           kInvalidAllocation}};
-}
 
 OracleNextPricePolicy::OracleNextPricePolicy(const InstanceTypeCatalog* catalog,
                                              const TraceStore* prices, int target_vcpus,

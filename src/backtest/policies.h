@@ -1,17 +1,9 @@
 // Baseline acquisition policies for the Policy Lab (DESIGN.md §9).
 //
-// Each policy implements the AcquisitionPolicy seam extracted from
-// BidBrain so the backtest engine can replay it over historical
-// spot-price traces with the exact event loop the paper's scheme uses:
+// The on-demand and fixed-delta baselines live in
+// src/bidbrain/tier_policy.h, where the job simulator shares them. This
+// header adds the hindsight baseline and the textual spec registry:
 //
-//  - OnDemandOnlyPolicy:    the all-on-demand reference (§6.3's
-//                           baseline). Never touches the spot market.
-//  - FixedDeltaSpotPolicy:  the "standard" strategy family: keep a fixed
-//                           vCPU capacity target topped up on the
-//                           currently cheapest market, always bidding
-//                           (current price + delta). delta -> 0 chases
-//                           free compute; large delta approximates
-//                           bid-the-on-demand-price.
 //  - OracleNextPricePolicy: hindsight upper bound. Reads the future
 //                           price path (which no real policy can),
 //                           places capacity on the market whose coming
@@ -31,6 +23,7 @@
 
 #include "src/bidbrain/acquisition_policy.h"
 #include "src/bidbrain/eviction_estimator.h"
+#include "src/bidbrain/tier_policy.h"
 #include "src/market/instance_type.h"
 #include "src/market/trace_store.h"
 #include "src/proteus/job_simulator.h"
@@ -38,31 +31,9 @@
 namespace proteus {
 namespace backtest {
 
-class OnDemandOnlyPolicy : public AcquisitionPolicy {
- public:
-  std::string name() const override { return "on_demand"; }
-  std::vector<BidAction> Decide(SimTime now,
-                                const std::vector<LiveAllocation>& live) const override;
-  bool OnDemandDoesWork() const override { return true; }
-};
-
-class FixedDeltaSpotPolicy : public AcquisitionPolicy {
- public:
-  FixedDeltaSpotPolicy(const InstanceTypeCatalog* catalog, const TraceStore* prices,
-                       Money bid_delta, int target_vcpus);
-
-  std::string name() const override;
-  std::vector<BidAction> Decide(SimTime now,
-                                const std::vector<LiveAllocation>& live) const override;
-
-  Money bid_delta() const { return bid_delta_; }
-
- private:
-  const InstanceTypeCatalog* catalog_;
-  const TraceStore* prices_;
-  Money bid_delta_;
-  int target_vcpus_;
-};
+// The baselines the job simulator shares, under their Policy Lab names.
+using ::proteus::FixedDeltaSpotPolicy;
+using ::proteus::OnDemandOnlyPolicy;
 
 class OracleNextPricePolicy : public AcquisitionPolicy {
  public:

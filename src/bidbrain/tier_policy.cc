@@ -19,6 +19,8 @@ double Effective(double price_per_vcpu_hour, double beta, double penalty) {
   return price_per_vcpu_hour / useful;
 }
 
+}  // namespace
+
 int LiveSpotVcpus(const InstanceTypeCatalog& catalog, const std::vector<LiveAllocation>& live) {
   int vcpus = 0;
   for (const LiveAllocation& alloc : live) {
@@ -33,7 +35,55 @@ int LiveSpotVcpus(const InstanceTypeCatalog& catalog, const std::vector<LiveAllo
   return vcpus;
 }
 
-}  // namespace
+std::optional<MarketKey> CheapestSpotMarket(const InstanceTypeCatalog& catalog,
+                                            const TraceStore& prices, SimTime now) {
+  std::optional<MarketKey> best;
+  double best_ppc = std::numeric_limits<double>::infinity();
+  for (const MarketKey& key : prices.Keys()) {
+    const InstanceType* type = catalog.Find(key.instance_type);
+    if (type == nullptr) {
+      continue;
+    }
+    const double ppc = prices.Get(key).PriceAt(now) / type->vcpus;
+    if (ppc < best_ppc) {
+      best_ppc = ppc;
+      best = key;
+    }
+  }
+  return best;
+}
+
+FixedDeltaSpotPolicy::FixedDeltaSpotPolicy(const InstanceTypeCatalog* catalog,
+                                           const TraceStore* prices, Money bid_delta,
+                                           int target_vcpus)
+    : catalog_(catalog), prices_(prices), bid_delta_(bid_delta), target_vcpus_(target_vcpus) {
+  PROTEUS_CHECK(catalog_ != nullptr);
+  PROTEUS_CHECK(prices_ != nullptr);
+  PROTEUS_CHECK_GE(bid_delta_, 0.0);
+  PROTEUS_CHECK_GT(target_vcpus_, 0);
+}
+
+std::string FixedDeltaSpotPolicy::name() const {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "fixed_delta_%.4f", bid_delta_);
+  return buf;
+}
+
+std::vector<BidAction> FixedDeltaSpotPolicy::Decide(
+    SimTime now, const std::vector<LiveAllocation>& live) const {
+  const int deficit = target_vcpus_ - LiveSpotVcpus(*catalog_, live);
+  if (deficit <= 0) {
+    return {};
+  }
+  const std::optional<MarketKey> best = CheapestSpotMarket(*catalog_, *prices_, now);
+  if (!best.has_value()) {
+    return {};
+  }
+  const InstanceType& type = catalog_->Get(best->instance_type);
+  const int count = (deficit + type.vcpus - 1) / type.vcpus;
+  return {{BidAction::Kind::kAcquire, *best, count,
+           prices_->Get(*best).PriceAt(now) + bid_delta_, kInvalidAllocation}};
+}
 
 TieredAcquisitionPolicy::TieredAcquisitionPolicy(const InstanceTypeCatalog* catalog,
                                                  const TraceStore* prices,

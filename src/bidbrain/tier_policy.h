@@ -22,9 +22,22 @@
 // policy is backtestable through the existing BacktestEngine unchanged;
 // drivers that own a serverless tier (ProteusRuntime) read the
 // recommended slot count via ComputeSplit()/ServerlessSlotTarget().
+//
+// Beside it live the baseline policies the job simulator and the Policy
+// Lab (DESIGN.md §9) share:
+//
+//  - OnDemandOnlyPolicy:    the all-on-demand reference (§6.3's
+//                           baseline). Never touches the spot market.
+//  - FixedDeltaSpotPolicy:  the "standard" strategy family: keep a fixed
+//                           vCPU capacity target topped up on the
+//                           currently cheapest market, always bidding
+//                           (current price + delta). delta -> 0 chases
+//                           free compute; large delta approximates
+//                           bid-the-on-demand-price.
 #ifndef SRC_BIDBRAIN_TIER_POLICY_H_
 #define SRC_BIDBRAIN_TIER_POLICY_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,6 +47,43 @@
 #include "src/market/trace_store.h"
 
 namespace proteus {
+
+// Spot vCPUs in `live`; on-demand allocations and types missing from the
+// catalog count zero.
+int LiveSpotVcpus(const InstanceTypeCatalog& catalog, const std::vector<LiveAllocation>& live);
+
+// The market with the lowest spot price per vCPU at `now` (the first on a
+// tie), or nullopt when no market's type is in the catalog.
+std::optional<MarketKey> CheapestSpotMarket(const InstanceTypeCatalog& catalog,
+                                            const TraceStore& prices, SimTime now);
+
+class OnDemandOnlyPolicy : public AcquisitionPolicy {
+ public:
+  std::string name() const override { return "on_demand"; }
+  std::vector<BidAction> Decide(SimTime /*now*/,
+                                const std::vector<LiveAllocation>& /*live*/) const override {
+    return {};
+  }
+  bool OnDemandDoesWork() const override { return true; }
+};
+
+class FixedDeltaSpotPolicy : public AcquisitionPolicy {
+ public:
+  FixedDeltaSpotPolicy(const InstanceTypeCatalog* catalog, const TraceStore* prices,
+                       Money bid_delta, int target_vcpus);
+
+  std::string name() const override;
+  std::vector<BidAction> Decide(SimTime now,
+                                const std::vector<LiveAllocation>& live) const override;
+
+  Money bid_delta() const { return bid_delta_; }
+
+ private:
+  const InstanceTypeCatalog* catalog_;
+  const TraceStore* prices_;
+  Money bid_delta_;
+  int target_vcpus_;
+};
 
 struct TieredPolicyConfig {
   int target_vcpus = 512;  // Total capacity target across all tiers.

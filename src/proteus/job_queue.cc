@@ -1,17 +1,12 @@
 #include "src/proteus/job_queue.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <set>
 
-#include "src/common/logging.h"
+#include "src/bidbrain/bidbrain.h"
 
 namespace proteus {
 
 namespace {
-constexpr WorkUnits kWorkEpsilon = 1e-6;
-constexpr SimDuration kInstant = 1.0;
 
 // Cost attributable to the window [begin, end): every billing hour is
 // charged pro-rata to the windows that overlap it; hours refunded by an
@@ -46,150 +41,44 @@ Money WindowCost(const SpotMarket& market, const Allocation& alloc, SimTime begi
 
 JobQueueSimulator::JobQueueSimulator(const InstanceTypeCatalog* catalog, const TraceStore* traces,
                                      const EvictionModel* estimator)
-    : catalog_(catalog), traces_(traces), estimator_(estimator) {
-  PROTEUS_CHECK(catalog_ != nullptr);
-  PROTEUS_CHECK(traces_ != nullptr);
-  PROTEUS_CHECK(estimator_ != nullptr);
-}
+    : sim_(catalog, traces, estimator) {}
 
 JobQueueResult JobQueueSimulator::Run(const std::vector<QueuedJob>& jobs,
                                       const SchemeConfig& config, SimTime start) const {
   if (jobs.empty()) {
     return {};  // Nothing queued: no footprint, no cost, zero makespan.
   }
-  SpotMarket market(*catalog_, *traces_);
-  BidBrain bidbrain(catalog_, traces_, estimator_, config.bidbrain);
-  const AppProfile& profile = config.agileml_profile;
-  const std::string zone0 = traces_->Keys().front().zone;
+  JobSimulator::Footprint footprint(*sim_.catalog_, *sim_.traces_, start);
+  SpotMarket& market = footprint.market;
+  // One BidBrain and one reliable on-demand allocation for the whole queue.
+  const BidBrain bidbrain(sim_.catalog_, sim_.traces_, sim_.estimator_, config.bidbrain);
+  const std::string zone0 = sim_.traces_->Keys().front().zone;
+  const AllocationId od =
+      market.RequestOnDemand({zone0, config.on_demand_type}, config.on_demand_count, start);
+  footprint.live.push_back(od);
 
   JobQueueResult result;
-  SimTime t = start;
-  std::vector<AllocationId> live;
-  std::set<AllocationId> scheduled_termination;
-  std::vector<std::pair<SimTime, AllocationId>> terminations;
-  SimTime paused_until = t;
-  SimTime next_decision = t;
-
-  // One reliable on-demand allocation for the whole queue.
-  const AllocationId od = market.RequestOnDemand({zone0, config.on_demand_type},
-                                                 config.on_demand_count, t);
-  live.push_back(od);
-
-  auto work_rate = [&]() {
-    double vcpus = 0.0;
-    for (const AllocationId id : live) {
-      const Allocation& alloc = market.Get(id);
-      if (alloc.kind == AllocationKind::kSpot) {
-        vcpus += alloc.count * catalog_->Get(alloc.market.instance_type).vcpus;
-      }
-    }
-    return vcpus * profile.phi / kHour;
-  };
-
   for (const QueuedJob& queued : jobs) {
+    const SimTime job_start = footprint.now;
+    const JobResult run =
+        sim_.RunJob(bidbrain, JobSimulator::Recovery::kElastic, queued.spec, footprint);
     QueuedJobResult job_result;
     job_result.name = queued.name;
-    const SimTime job_start = t;
-    WorkUnits done = 0.0;
-    const SimTime hard_end = t + config.max_runtime;
-
-    while (done + kWorkEpsilon < queued.spec.total_work && t < hard_end) {
-      const double rate = work_rate();
-      SimTime next = std::min(hard_end, next_decision);
-      for (const AllocationId id : live) {
-        const auto& ev = market.Get(id).eviction_time;
-        if (ev.has_value() && market.Get(id).running()) {
-          next = std::min(next, std::max(*ev, t + kInstant));
-        }
-      }
-      for (const auto& [when, unused] : terminations) {
-        next = std::min(next, std::max(when, t + kInstant));
-      }
-      if (paused_until > t) {
-        next = std::min(next, paused_until);
-      } else if (rate > 0.0) {
-        next = std::min(next, t + (queued.spec.total_work - done) / rate);
-      }
-      next = std::max(next, t + kInstant);
-      const SimTime active_from = std::max(t, paused_until);
-      if (next > active_from) {
-        done += rate * (next - active_from);
-      }
-      t = next;
-      if (done + kWorkEpsilon >= queued.spec.total_work) {
-        break;
-      }
-
-      // Evictions.
-      bool evicted_any = false;
-      for (auto it = live.begin(); it != live.end();) {
-        const Allocation& alloc = market.Get(*it);
-        if (alloc.kind == AllocationKind::kSpot && alloc.eviction_time.has_value() &&
-            *alloc.eviction_time <= t && alloc.running()) {
-          market.MarkEvicted(*it);
-          it = live.erase(it);
-          ++job_result.evictions;
-          evicted_any = true;
-        } else {
-          ++it;
-        }
-      }
-      if (evicted_any) {
-        paused_until = std::max(paused_until, t + profile.lambda);
-        next_decision = t;
-      }
-
-      // Scheduled terminations (renewal decisions).
-      for (auto it = terminations.begin(); it != terminations.end();) {
-        if (it->first <= t) {
-          if (market.Get(it->second).running()) {
-            market.Terminate(it->second, t);
-            live.erase(std::remove(live.begin(), live.end(), it->second), live.end());
-          }
-          it = terminations.erase(it);
-        } else {
-          ++it;
-        }
-      }
-
-      // BidBrain decision point.
-      if (t >= next_decision) {
-        std::vector<LiveAllocation> view;
-        for (const AllocationId id : live) {
-          const Allocation& alloc = market.Get(id);
-          view.push_back({alloc.id, alloc.market, alloc.count, alloc.bid,
-                          alloc.kind == AllocationKind::kOnDemand, alloc.start});
-        }
-        for (const BidAction& action : bidbrain.Decide(t, view)) {
-          if (action.kind == BidAction::Kind::kAcquire) {
-            const auto id = market.RequestSpot(action.market, action.count, action.bid, t);
-            if (id.has_value()) {
-              live.push_back(*id);
-              paused_until = std::max(paused_until, t + profile.sigma);
-            }
-          } else if (scheduled_termination.insert(action.target).second) {
-            terminations.emplace_back(market.Get(action.target).HourEnd(t) - 1.0,
-                                      action.target);
-          }
-        }
-        next_decision = t + config.decision_period;
-      }
-    }
-
-    job_result.completed = done + kWorkEpsilon >= queued.spec.total_work;
-    job_result.runtime = t - job_start;
+    job_result.completed = run.completed;
+    job_result.runtime = run.runtime;
+    job_result.evictions = run.evictions;
     for (const auto& alloc : market.allocations()) {
-      job_result.cost += WindowCost(market, alloc, job_start, t);
+      job_result.cost += WindowCost(market, alloc, job_start, footprint.now);
     }
     result.jobs.push_back(job_result);
   }
 
   // --- Queue drained: shutdown policy (§5) ---
-  const SimTime queue_end = t;
+  const SimTime queue_end = footprint.now;
   market.Terminate(od, queue_end);  // On-demand released immediately.
   // Spot allocations are held to the end of their billing hours hoping
   // AWS evicts them first (making the final hour free).
-  for (const AllocationId id : live) {
+  for (const AllocationId id : footprint.live) {
     const Allocation& alloc = market.Get(id);
     if (alloc.kind != AllocationKind::kSpot || !alloc.running()) {
       continue;

@@ -55,9 +55,7 @@ class JobQueueSimulator {
                      SimTime start) const;
 
  private:
-  const InstanceTypeCatalog* catalog_;
-  const TraceStore* traces_;
-  const EvictionModel* estimator_;
+  JobSimulator sim_;  // Runs each job over the queue's shared footprint.
 };
 
 }  // namespace proteus

@@ -14,11 +14,22 @@
 //                          checkpoint overhead, cheap evictions) but the
 //                          standard bidding strategy.
 //  - kProteus:             AgileML + BidBrain.
+//  - kFlintDiversified:    checkpoint/restart, the standard top-up split
+//                          over the three cheapest markets (§8).
+//
+// Every scheme runs through one event loop: work accrues at phi per
+// worker vCPU, a granted acquisition pauses it for sigma, and an
+// AcquisitionPolicy decides every decision period. A scheme is a
+// (policy, recovery) pair. Elastic recovery pauses for lambda on an
+// eviction. Checkpoint-restart runs kCheckpointOverhead slower, rolls
+// back to the last checkpoint and waits out a restart delay on an
+// eviction, and makes no decisions while paused.
 #ifndef SRC_PROTEUS_JOB_SIMULATOR_H_
 #define SRC_PROTEUS_JOB_SIMULATOR_H_
 
-#include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/bidbrain/acquisition_policy.h"
@@ -57,24 +68,16 @@ struct JobSpec {
                                       double phi);
 };
 
+// Checkpoint-restart's throughput overhead (§6.3: 17% observed).
+inline constexpr double kCheckpointOverhead = 0.17;
+
 struct SchemeConfig {
   // Reliable tier for AgileML-based schemes (paper: 3 on-demand).
   int on_demand_count = 3;
   std::string on_demand_type = "c4.xlarge";
   // Capacity target, in vCPUs, for the standard bidding strategy.
   int standard_target_vcpus = 512;
-  // Scalability / overhead profiles.
-  AppProfile agileml_profile;
-  AppProfile checkpoint_profile;
-  // Checkpointing scheme parameters (§6.3: 17% observed overhead).
-  double checkpoint_overhead = 0.17;
-  SimDuration checkpoint_write_time = 90 * kSecond;
-  SimDuration checkpoint_restart_delay = 5 * kMinute;
-  // Decision cadence for bidding policies.
-  SimDuration decision_period = 2 * kMinute;
   BidBrainConfig bidbrain;
-  // Safety horizon: give up after this much simulated time.
-  SimDuration max_runtime = 10 * kDay;
 };
 
 // Per-allocation slice of the final bill, for accounting audits (the
@@ -109,17 +112,16 @@ class JobSimulator {
                const EvictionModel* estimator);
 
   // Runs one scheme over the traces starting at `start`. Each call uses
-  // a fresh SpotMarket so billing is isolated per run. kProteus routes
-  // through the policy-driven path below with a BidBrain policy, so the
-  // two entry points agree bit-for-bit on the paper's scheme.
+  // a fresh SpotMarket so billing is isolated per run.
   JobResult Run(SchemeKind scheme, const JobSpec& job, const SchemeConfig& config,
                 SimTime start) const;
 
-  // Policy-driven run (the Policy Lab seam, DESIGN.md §9): the same
-  // event loop as kProteus, but every acquisition/termination decision
-  // is delegated to `policy`. When policy.OnDemandDoesWork() the initial
-  // footprint is the reference on-demand cluster and on-demand machines
-  // produce the work; otherwise it is the reliable serving tier
+  // Policy-driven run (the Policy Lab seam, DESIGN.md §9): the scheme
+  // event loop with elastic recovery and every acquisition/termination
+  // decision delegated to `policy` (kProteus is this with BidBrain).
+  // When policy.OnDemandDoesWork() the initial footprint is the
+  // reference on-demand cluster and on-demand machines produce the
+  // work; otherwise it is the reliable serving tier
   // (config.on_demand_count x config.on_demand_type, W = 0) and spot
   // instances produce the work. Deterministic: same (traces, policy,
   // job, config, start) always yields the same JobResult.
@@ -127,6 +129,37 @@ class JobSimulator {
                 SimTime start) const;
 
  private:
+  friend class JobQueueSimulator;
+
+  enum class Recovery {
+    kElastic,            // An eviction pauses work for lambda (AgileML).
+    kCheckpointRestart,  // An eviction rolls back to the last checkpoint.
+  };
+
+  // The state one job leaves to the next: the job queue runs its jobs
+  // back to back over one footprint.
+  struct Footprint {
+    Footprint(const InstanceTypeCatalog& catalog, const TraceStore& traces, SimTime start)
+        : market(catalog, traces), now(start), paused_until(start), next_decision(start) {}
+
+    SpotMarket market;
+    std::vector<AllocationId> live;
+    std::set<AllocationId> scheduled_termination;
+    std::vector<std::pair<SimTime, AllocationId>> terminations;  // (when, allocation).
+    SimTime now;
+    SimTime paused_until;
+    SimTime next_decision;
+  };
+
+  // A fresh footprint with its initial tier, one job, and the final bill.
+  JobResult Run(const AcquisitionPolicy& policy, Recovery recovery, const JobSpec& job,
+                const SchemeConfig& config, SimTime start) const;
+
+  // The event loop: runs `job` from footprint.now until it completes or
+  // times out. Fills every JobResult field but the bills.
+  JobResult RunJob(const AcquisitionPolicy& policy, Recovery recovery, const JobSpec& job,
+                   Footprint& footprint) const;
+
   const InstanceTypeCatalog* catalog_;
   const TraceStore* traces_;
   const EvictionModel* estimator_;

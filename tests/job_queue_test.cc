@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/proteus/job_queue.h"
 
 namespace proteus {
@@ -78,6 +80,69 @@ TEST_F(JobQueueTest, QueueIsCheaperPerJobThanStandalone) {
   const JobQueueResult q1 = sim_->Run(Queue(1, 2 * kHour), Config(), 16 * kDay);
   const Money per_job_q3 = q3.total_cost / 3;
   EXPECT_LT(per_job_q3, q1.total_cost * 1.2);
+}
+
+TEST_F(JobQueueTest, SingleJobQueueMatchesStandaloneProteusRun) {
+  // A one-job queue runs the same loop, footprint and BidBrain as a
+  // standalone kProteus run; only the billing differs (the queue drains
+  // spot to the hour end).
+  const JobSimulator standalone(&catalog_, &traces_, &estimator_);
+  const std::vector<QueuedJob> jobs = Queue(1, 2 * kHour);
+  for (int i = 0; i < 8; ++i) {
+    const SimTime start = (16 + 2 * i) * kDay + i * 7 * kHour;
+    const JobQueueResult queued = sim_->Run(jobs, Config(), start);
+    const JobResult single = standalone.Run(SchemeKind::kProteus, jobs[0].spec, Config(), start);
+    ASSERT_EQ(queued.jobs.size(), 1u);
+    EXPECT_EQ(queued.jobs[0].completed, single.completed) << "start " << i;
+    EXPECT_EQ(queued.jobs[0].runtime, single.runtime) << "start " << i;
+    EXPECT_EQ(queued.jobs[0].evictions, single.evictions) << "start " << i;
+    EXPECT_EQ(queued.makespan, single.runtime) << "start " << i;
+  }
+}
+
+TEST_F(JobQueueTest, CarriedFootprintGolden) {
+  // Pins a four-job queue at two starts, hex-exact: each job runs over the
+  // footprint the previous one left (allocations, pending terminations,
+  // the pause and the next decision point), not a rebuilt one.
+  struct JobGolden {
+    SimDuration runtime;
+    Money cost;
+    int evictions;
+  };
+  struct Golden {
+    int day;  // start = day days + 3 hours.
+    Money total_cost;
+    SimDuration makespan;
+    Money refunds;
+    JobGolden jobs[4];
+  };
+  const Golden goldens[] = {
+      {16, 0x1.3cp+5, 0x1.7f215555555p+13, 0x1.049ba5e353f7dp+4,
+       {{0x1.312e8ba2e8cp+12, 0x1.03f7c9c3954fbp+2, 24},
+        {0x1.534c0d4c77ap+11, 0x1.7a47fbdc590e2p+3, 7},
+        {0x1.17a18618618p+11, 0x1.d068e65d3ee2fp+3, 0},
+        {0x1.2f3aaaaaaaap+11, 0x1.cec5b35d87fabp+3, 0}}},
+      {19, 0x1.a3851eb851eb8p+4, 0x1.73ce00000008p+13, 0x1.bb645a1cac083p+3,
+       {{0x1.7afp+11, 0x1.eafe8a02054c2p+1, 5},
+        {0x1.875p+11, 0x1.d192308d1ef04p+3, 6},
+        {0x1.02b55555556p+11, 0x1.c39fb3654c82dp+3, 1},
+        {0x1.ca42aaaaaacp+11, 0x1.9941359f069d5p+2, 18}}},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE("day " + std::to_string(g.day));
+    const JobQueueResult result =
+        sim_->Run(Queue(4, 2 * kHour), Config(), g.day * kDay + 3 * kHour);
+    EXPECT_EQ(result.total_cost, g.total_cost);
+    EXPECT_EQ(result.makespan, g.makespan);
+    EXPECT_EQ(result.shutdown_refunds, g.refunds);
+    ASSERT_EQ(result.jobs.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_TRUE(result.jobs[i].completed) << i;
+      EXPECT_EQ(result.jobs[i].runtime, g.jobs[i].runtime) << i;
+      EXPECT_EQ(result.jobs[i].cost, g.jobs[i].cost) << i;
+      EXPECT_EQ(result.jobs[i].evictions, g.jobs[i].evictions) << i;
+    }
+  }
 }
 
 TEST_F(JobQueueTest, ShutdownWaitsForBillingHours) {
