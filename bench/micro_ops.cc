@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot operations of the
 // parameter-server substrate: row reads/updates, backup sync, checkpoint
 // serialize/write/restore, fabric accounting, cost-model evaluation, and
-// one MF and one MLR clock through the runtime; plus the market setup
+// one MF, one MLR and one LDA clock through the runtime; plus the market setup
 // (synthetic trace generation and eviction-estimator training).
 //
 // Two modes:
@@ -250,6 +250,43 @@ void BM_MlrProcessClock(benchmark::State& state) {
 }
 BENCHMARK(BM_MlrProcessClock);
 
+// One single-node sequential LDA Gibbs sweep at the lda_churn benchmark's
+// corpus shape (8000 words, 64 topics, ~120 tokens per document), so
+// nearly all of it is the sampler. The first clock, which only assigns
+// initial topics, is left out of every measurement.
+struct LdaClockFixture {
+  static CorpusConfig Corpus() {
+    CorpusConfig cc;
+    cc.docs = 1000;
+    cc.vocab = 8000;
+    cc.true_topics = 20;
+    cc.avg_doc_len = 120;
+    return cc;
+  }
+  static AgileMLConfig Config() {
+    AgileMLConfig config;
+    config.num_partitions = 8;
+    config.parallel_execution = false;
+    return config;
+  }
+
+  LdaClockFixture() { runtime.RunClock(); }
+
+  CorpusDataset data = GenerateCorpus(Corpus());
+  LdaApp app{&data, LdaConfig{}};
+  AgileMLRuntime runtime{&app, Config(), {{0, Tier::kReliable, 8, kInvalidAllocation}}};
+};
+
+void BM_LdaProcessClock(benchmark::State& state) {
+  LdaClockFixture fixture;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fixture.runtime.RunClock().duration);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          fixture.data.num_docs());
+}
+BENCHMARK(BM_LdaProcessClock);
+
 // --- Market setup at the spot_mlr benchmark's shape: 4 zones x the 6
 // default instance types, 90 days of synthetic prices, the estimator
 // trained on the first 45.
@@ -372,6 +409,14 @@ std::vector<bench::BenchJsonRow> RunJsonBenches() {
         [&] { benchmark::DoNotOptimize(fixture.runtime.RunClock().duration); });
     rows.push_back({"mlr_process_clock", "items_per_sec",
                     static_cast<double>(fixture.data.size()) / spi, "items/s"});
+  }
+  // One LDA Gibbs sweep through the runtime, in documents/s.
+  {
+    LdaClockFixture fixture;
+    const double spi = SecondsPerIter(
+        [&] { benchmark::DoNotOptimize(fixture.runtime.RunClock().duration); });
+    rows.push_back({"lda_process_clock", "items_per_sec",
+                    static_cast<double>(fixture.data.num_docs()) / spi, "items/s"});
   }
 
   // Market setup: synthetic price points generated per second, and

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <unordered_map>
 
+#include "src/apps/dense_kernels.h"
 #include "src/common/logging.h"
 
 namespace proteus {
@@ -51,37 +53,58 @@ void LdaApp::InitDoc(WorkerContext& ctx, std::int64_t doc) {
   doc_initialized_[static_cast<std::size_t>(doc)] = 1;
 }
 
+namespace {
+
+// Slots per block of ProcessRange's word slab.
+constexpr std::size_t kSlotsPerBlock = 64;
+
+}  // namespace
+
 void LdaApp::ProcessRange(WorkerContext& ctx, std::int64_t begin, std::int64_t end) {
   const int topics = config_.topics;
+  const auto width = static_cast<std::size_t>(topics);
   const double alpha = config_.alpha;
   const double beta = config_.beta;
   const double vbeta = static_cast<double>(data_->config.vocab) * beta;
 
-  // Worker-side cache for this clock: word rows fetched once, totals
-  // fetched once, all updates coalesced into one delta per row.
-  std::unordered_map<std::int32_t, std::vector<float>> word_cache;
-  std::unordered_map<std::int32_t, std::vector<float>> word_delta;
+  // Worker-side cache for this range: word rows fetched once on first
+  // touch, totals fetched once, all updates coalesced into one delta per
+  // row. slot_of maps a word to its slot in `words` (-1: untouched), and
+  // `words` lists the touched words in first-touch order. The slab holds,
+  // per slot, 2 * topics floats: the word's row as read (kept current as
+  // the range resamples), then the range's delta to it. It grows in fixed
+  // blocks, so a slot never moves and growing copies nothing. All of it
+  // lives for one range: the same scratch kept per thread and reused
+  // across ranges raised lda_churn's peak RSS by 1.5-3.7 MB, with no
+  // measurable speed-up.
+  std::vector<std::int32_t> slot_of(static_cast<std::size_t>(data_->config.vocab), -1);
+  std::vector<std::int32_t> words;
+  std::vector<std::vector<float>> blocks;
+  std::vector<float> row;
   std::vector<float> totals;
   ctx.ReadInto(kTableTotals, 0, totals);
-  std::vector<float> totals_delta(static_cast<std::size_t>(topics), 0.0F);
-  std::vector<double> prob(static_cast<std::size_t>(topics));
-  std::vector<double> doc_hist(static_cast<std::size_t>(topics));
+  std::vector<float> totals_delta(width, 0.0F);
+  std::vector<double> prob(width);
+  std::vector<double> doc_hist(width);
 
-  auto word_row = [&](std::int32_t w) -> std::vector<float>& {
-    auto it = word_cache.find(w);
-    if (it == word_cache.end()) {
-      std::vector<float> row;
-      ctx.ReadInto(kTableWordTopic, w, row);
-      it = word_cache.emplace(w, std::move(row)).first;
-    }
-    return it->second;
+  auto slot_row = [&](std::size_t slot) {
+    return blocks[slot / kSlotsPerBlock].data() + (slot % kSlotsPerBlock) * 2 * width;
   };
-  auto delta_row = [&](std::int32_t w) -> std::vector<float>& {
-    auto [it, inserted] = word_delta.try_emplace(w);
-    if (inserted) {
-      it->second.assign(static_cast<std::size_t>(topics), 0.0F);
+  // The word's [row | delta] in the slab; a first touch reads the row.
+  // Blocks start zeroed and a slot is taken once, so its delta starts at
+  // zero.
+  auto row_of = [&](std::int32_t w) {
+    std::int32_t& slot = slot_of[static_cast<std::size_t>(w)];
+    if (slot < 0) {
+      slot = static_cast<std::int32_t>(words.size());
+      words.push_back(w);
+      if (words.size() > blocks.size() * kSlotsPerBlock) {
+        blocks.emplace_back(kSlotsPerBlock * 2 * width);
+      }
+      ctx.ReadInto(kTableWordTopic, w, row);
+      std::copy(row.begin(), row.end(), slot_row(static_cast<std::size_t>(slot)));
     }
-    return it->second;
+    return slot_row(static_cast<std::size_t>(slot));
   };
 
   for (std::int64_t doc = begin; doc < end; ++doc) {
@@ -96,37 +119,32 @@ void LdaApp::ProcessRange(WorkerContext& ctx, std::int64_t begin, std::int64_t e
     }
     for (std::int64_t t = data_->DocBegin(doc); t < data_->DocEnd(doc); ++t) {
       const std::int32_t w = data_->tokens[static_cast<std::size_t>(t)];
-      const auto old_k = z_[static_cast<std::size_t>(t)];
-      std::vector<float>& wrow = word_row(w);
-      std::vector<float>& wdelta = delta_row(w);
+      const auto old_k = static_cast<std::size_t>(z_[static_cast<std::size_t>(t)]);
+      float* wrow = row_of(w);
+      float* wdelta = wrow + width;
       // Remove the token from its current topic.
-      doc_hist[static_cast<std::size_t>(old_k)] -= 1.0;
-      wrow[static_cast<std::size_t>(old_k)] -= 1.0F;
-      wdelta[static_cast<std::size_t>(old_k)] -= 1.0F;
-      totals[static_cast<std::size_t>(old_k)] -= 1.0F;
-      totals_delta[static_cast<std::size_t>(old_k)] -= 1.0F;
-      // Collapsed Gibbs conditional.
-      for (int k = 0; k < topics; ++k) {
-        const double ndk = std::max(0.0, doc_hist[static_cast<std::size_t>(k)]);
-        const double nwk =
-            std::max(0.0, static_cast<double>(wrow[static_cast<std::size_t>(k)]));
-        const double nk =
-            std::max(0.0, static_cast<double>(totals[static_cast<std::size_t>(k)]));
-        prob[static_cast<std::size_t>(k)] = (ndk + alpha) * (nwk + beta) / (nk + vbeta);
-      }
-      const auto new_k = static_cast<std::int32_t>(ctx.rng().Categorical(prob));
+      doc_hist[old_k] -= 1.0;
+      wrow[old_k] -= 1.0F;
+      wdelta[old_k] -= 1.0F;
+      totals[old_k] -= 1.0F;
+      totals_delta[old_k] -= 1.0F;
+      // Collapsed Gibbs conditional, then one draw from it.
+      const double total = GibbsConditional(doc_hist.data(), wrow, totals.data(), alpha, beta,
+                                            vbeta, prob.data(), topics);
+      const auto new_k = ctx.rng().Categorical(prob, total);
       // Add it back under the sampled topic.
-      z_[static_cast<std::size_t>(t)] = new_k;
-      doc_hist[static_cast<std::size_t>(new_k)] += 1.0;
-      wrow[static_cast<std::size_t>(new_k)] += 1.0F;
-      wdelta[static_cast<std::size_t>(new_k)] += 1.0F;
-      totals[static_cast<std::size_t>(new_k)] += 1.0F;
-      totals_delta[static_cast<std::size_t>(new_k)] += 1.0F;
+      z_[static_cast<std::size_t>(t)] = static_cast<std::int32_t>(new_k);
+      doc_hist[new_k] += 1.0;
+      wrow[new_k] += 1.0F;
+      wdelta[new_k] += 1.0F;
+      totals[new_k] += 1.0F;
+      totals_delta[new_k] += 1.0F;
     }
   }
 
-  for (const auto& [w, delta] : word_delta) {
-    ctx.Update(kTableWordTopic, w, delta);
+  for (std::size_t slot = 0; slot < words.size(); ++slot) {
+    ctx.Update(kTableWordTopic, words[slot],
+               std::span<const float>(slot_row(slot) + width, width));
   }
   ctx.Update(kTableTotals, 0, totals_delta);
 }

@@ -42,6 +42,10 @@ class LdaApp : public MLApp {
   // Negative mean per-token log-likelihood (lower is better).
   double ComputeObjective(const ModelStore& model) const override;
 
+  // Per-token topic assignments (-1 until the token's document is first
+  // visited).
+  const std::vector<std::int32_t>& assignments() const { return z_; }
+
  private:
   void InitDoc(WorkerContext& ctx, std::int64_t doc);
 

@@ -6,6 +6,16 @@
 
 namespace proteus {
 
+namespace {
+double SerialSum(std::span<const double> weights) {
+  double total = 0.0;
+  for (double w : weights) {
+    total += w;
+  }
+  return total;
+}
+}  // namespace
+
 std::int64_t Rng::Zipf(std::int64_t n, double exponent) {
   PROTEUS_CHECK_GT(n, 0);
   PROTEUS_CHECK_GT(exponent, 0.0);
@@ -47,14 +57,12 @@ std::int64_t Rng::Zipf(std::int64_t n, double exponent) {
   }
 }
 
-std::size_t Rng::Categorical(const std::vector<double>& weights) {
+std::size_t Rng::Categorical(std::span<const double> weights, std::optional<double> total) {
   PROTEUS_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    total += w;
-  }
-  PROTEUS_CHECK_GT(total, 0.0);
-  double target = Uniform(0.0, total);
+  const double sum = total.has_value() ? *total : SerialSum(weights);
+  PROTEUS_DCHECK(sum == SerialSum(weights)) << "precomputed total is not the serial sum";
+  PROTEUS_CHECK_GT(sum, 0.0);
+  double target = Uniform(0.0, sum);
   for (std::size_t i = 0; i < weights.size(); ++i) {
     target -= weights[i];
     if (target <= 0.0) {

@@ -4,7 +4,9 @@
 #define SRC_COMMON_RNG_H_
 
 #include <cstdint>
+#include <optional>
 #include <random>
+#include <span>
 #include <vector>
 
 namespace proteus {
@@ -38,8 +40,13 @@ class Rng {
   // (Hörmann & Derflinger), exact and O(1) amortized.
   std::int64_t Zipf(std::int64_t n, double exponent);
 
-  // Samples an index proportionally to the (non-negative) weights.
-  std::size_t Categorical(const std::vector<double>& weights);
+  // Samples an index proportionally to the (non-negative) weights: one
+  // Uniform(0, total) draw, then a subtract-scan in index order. `total`,
+  // when given, must be the weights' serial sum in index order (a kernel
+  // that already walked the weights can fold it in); otherwise it is
+  // summed here.
+  std::size_t Categorical(std::span<const double> weights,
+                          std::optional<double> total = std::nullopt);
 
   // Fisher-Yates shuffle.
   template <typename T>

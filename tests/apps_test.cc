@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/agileml/runtime.h"
@@ -157,6 +161,46 @@ TEST(DenseKernels, SoftmaxIsShiftInvariantAndNormalized) {
   EXPECT_GT(small[2], small[1]);
 }
 
+// The vectorized conditional against the scalar expression, bit for bit,
+// on counts that include negatives and -0.0 (the clamp), for sizes that are
+// tail-only, one chunk, a chunk plus a tail, and the benchmark's 64.
+TEST(DenseKernels, GibbsConditionalMatchesScalar) {
+  Rng rng(21);
+  const double alpha = 0.1;
+  const double beta = 0.01;
+  const double vbeta = 8000 * beta;
+  const double edge[] = {-0.0, -1.0, 0.0, -3.5};
+  for (const int n : {1, 7, 8, 9, 64}) {
+    SCOPED_TRACE(n);
+    std::vector<double> ndk(static_cast<std::size_t>(n));
+    std::vector<float> nwk(static_cast<std::size_t>(n));
+    std::vector<float> nk(static_cast<std::size_t>(n));
+    for (int k = 0; k < n; ++k) {
+      const auto i = static_cast<std::size_t>(k);
+      // Most entries are edge values; the rest are counts.
+      ndk[i] = k % 5 < 4 ? edge[k % 4] : static_cast<double>(rng.UniformInt(0, 40));
+      nwk[i] = k % 3 < 2 ? static_cast<float>(edge[(k + 1) % 4])
+                         : static_cast<float>(rng.UniformInt(0, 900));
+      nk[i] = k % 7 < 3 ? static_cast<float>(edge[(k + 2) % 4])
+                        : static_cast<float>(rng.UniformInt(0, 90000));
+    }
+    std::vector<double> want(static_cast<std::size_t>(n));
+    double want_total = 0.0;
+    for (int k = 0; k < n; ++k) {
+      const auto i = static_cast<std::size_t>(k);
+      want[i] = (std::max(0.0, ndk[i]) + alpha) *
+                (std::max(0.0, static_cast<double>(nwk[i])) + beta) /
+                (std::max(0.0, static_cast<double>(nk[i])) + vbeta);
+      want_total += want[i];
+    }
+    std::vector<double> prob(static_cast<std::size_t>(n), -1.0);
+    const double total =
+        GibbsConditional(ndk.data(), nwk.data(), nk.data(), alpha, beta, vbeta, prob.data(), n);
+    EXPECT_EQ(std::memcmp(prob.data(), want.data(), want.size() * sizeof(double)), 0);
+    EXPECT_EQ(total, want_total);
+  }
+}
+
 // dim = 37 is not a multiple of the kernels' chunk, so the tail path runs.
 TEST(MultinomialLogReg, ProcessRangeMatchesScalarReference) {
   FeaturesConfig fc;
@@ -254,6 +298,234 @@ TEST(Lda, ConvergesOnSingleNode) {
   runtime.RunClocks(15);
   const double after = runtime.ComputeObjective();
   EXPECT_LT(after, before) << "negative log-likelihood should drop";
+}
+
+// LDA's sampler as it was before the flat slab: one unordered_map word
+// cache and one delta map per range, and a scalar conditional summed
+// inside Categorical. LdaApp must reproduce it bit for bit.
+class ScalarLdaOracle : public MLApp {
+ public:
+  ScalarLdaOracle(const CorpusDataset* data, LdaConfig config) : data_(data), config_(config) {
+    z_.assign(static_cast<std::size_t>(data->num_tokens()), -1);
+    doc_initialized_.assign(static_cast<std::size_t>(data->num_docs()), 0);
+  }
+
+  std::string Name() const override { return "lda_oracle"; }
+  ModelInit DefineModel() const override { return LdaApp(data_, config_).DefineModel(); }
+  std::int64_t NumItems() const override { return data_->num_docs(); }
+  double CostPerItem() const override { return 1.0; }
+  const std::vector<std::int32_t>& assignments() const { return z_; }
+
+  void ProcessRange(WorkerContext& ctx, std::int64_t begin, std::int64_t end) override {
+    const int topics = config_.topics;
+    const double alpha = config_.alpha;
+    const double beta = config_.beta;
+    const double vbeta = static_cast<double>(data_->config.vocab) * beta;
+    std::unordered_map<std::int32_t, std::vector<float>> word_cache;
+    std::unordered_map<std::int32_t, std::vector<float>> word_delta;
+    std::vector<float> totals;
+    ctx.ReadInto(LdaApp::kTableTotals, 0, totals);
+    std::vector<float> totals_delta(static_cast<std::size_t>(topics), 0.0F);
+    std::vector<double> prob(static_cast<std::size_t>(topics));
+    std::vector<double> doc_hist(static_cast<std::size_t>(topics));
+    auto word_row = [&](std::int32_t w) -> std::vector<float>& {
+      auto it = word_cache.find(w);
+      if (it == word_cache.end()) {
+        std::vector<float> row;
+        ctx.ReadInto(LdaApp::kTableWordTopic, w, row);
+        it = word_cache.emplace(w, std::move(row)).first;
+      }
+      return it->second;
+    };
+    auto delta_row = [&](std::int32_t w) -> std::vector<float>& {
+      auto [it, inserted] = word_delta.try_emplace(w);
+      if (inserted) {
+        it->second.assign(static_cast<std::size_t>(topics), 0.0F);
+      }
+      return it->second;
+    };
+    for (std::int64_t doc = begin; doc < end; ++doc) {
+      if (doc_initialized_[static_cast<std::size_t>(doc)] == 0) {
+        InitDoc(ctx, doc);
+        continue;
+      }
+      std::fill(doc_hist.begin(), doc_hist.end(), 0.0);
+      for (std::int64_t t = data_->DocBegin(doc); t < data_->DocEnd(doc); ++t) {
+        doc_hist[static_cast<std::size_t>(z_[static_cast<std::size_t>(t)])] += 1.0;
+      }
+      for (std::int64_t t = data_->DocBegin(doc); t < data_->DocEnd(doc); ++t) {
+        const std::int32_t w = data_->tokens[static_cast<std::size_t>(t)];
+        const auto old_k = static_cast<std::size_t>(z_[static_cast<std::size_t>(t)]);
+        std::vector<float>& wrow = word_row(w);
+        std::vector<float>& wdelta = delta_row(w);
+        doc_hist[old_k] -= 1.0;
+        wrow[old_k] -= 1.0F;
+        wdelta[old_k] -= 1.0F;
+        totals[old_k] -= 1.0F;
+        totals_delta[old_k] -= 1.0F;
+        for (int k = 0; k < topics; ++k) {
+          const auto i = static_cast<std::size_t>(k);
+          const double ndk = std::max(0.0, doc_hist[i]);
+          const double nwk = std::max(0.0, static_cast<double>(wrow[i]));
+          const double nk = std::max(0.0, static_cast<double>(totals[i]));
+          prob[i] = (ndk + alpha) * (nwk + beta) / (nk + vbeta);
+        }
+        const auto new_k = ctx.rng().Categorical(prob);
+        z_[static_cast<std::size_t>(t)] = static_cast<std::int32_t>(new_k);
+        doc_hist[new_k] += 1.0;
+        wrow[new_k] += 1.0F;
+        wdelta[new_k] += 1.0F;
+        totals[new_k] += 1.0F;
+        totals_delta[new_k] += 1.0F;
+      }
+    }
+    for (const auto& [w, delta] : word_delta) {
+      ctx.Update(LdaApp::kTableWordTopic, w, delta);
+    }
+    ctx.Update(LdaApp::kTableTotals, 0, totals_delta);
+  }
+
+  double ComputeObjective(const ModelStore& model) const override {
+    const std::int64_t sample = std::min(config_.objective_sample_docs, data_->num_docs());
+    const int topics = config_.topics;
+    const double alpha = config_.alpha;
+    const double beta = config_.beta;
+    const double vbeta = static_cast<double>(data_->config.vocab) * beta;
+    std::vector<float> totals;
+    model.ReadRow(LdaApp::kTableTotals, 0, totals);
+    std::vector<float> wrow;
+    std::vector<double> doc_hist(static_cast<std::size_t>(topics));
+    double loglik = 0.0;
+    std::int64_t tokens = 0;
+    for (std::int64_t doc = 0; doc < sample; ++doc) {
+      if (doc_initialized_[static_cast<std::size_t>(doc)] == 0) {
+        continue;
+      }
+      std::fill(doc_hist.begin(), doc_hist.end(), 0.0);
+      const double len = static_cast<double>(data_->DocEnd(doc) - data_->DocBegin(doc));
+      for (std::int64_t t = data_->DocBegin(doc); t < data_->DocEnd(doc); ++t) {
+        doc_hist[static_cast<std::size_t>(z_[static_cast<std::size_t>(t)])] += 1.0;
+      }
+      for (std::int64_t t = data_->DocBegin(doc); t < data_->DocEnd(doc); ++t) {
+        model.ReadRow(LdaApp::kTableWordTopic, data_->tokens[static_cast<std::size_t>(t)], wrow);
+        double p = 0.0;
+        for (int k = 0; k < topics; ++k) {
+          const auto i = static_cast<std::size_t>(k);
+          const double theta = (std::max(0.0, doc_hist[i]) + alpha) /
+                               (len + static_cast<double>(topics) * alpha);
+          const double phi = (std::max(0.0, static_cast<double>(wrow[i])) + beta) /
+                             (std::max(0.0, static_cast<double>(totals[i])) + vbeta);
+          p += theta * phi;
+        }
+        loglik += std::log(std::max(p, 1e-12));
+        ++tokens;
+      }
+    }
+    return -loglik / static_cast<double>(tokens);
+  }
+
+ private:
+  void InitDoc(WorkerContext& ctx, std::int64_t doc) {
+    const int topics = config_.topics;
+    std::vector<float> totals_delta(static_cast<std::size_t>(topics), 0.0F);
+    std::unordered_map<std::int32_t, std::vector<float>> word_delta;
+    for (std::int64_t t = data_->DocBegin(doc); t < data_->DocEnd(doc); ++t) {
+      const auto k = static_cast<std::int32_t>(ctx.rng().UniformInt(0, topics - 1));
+      z_[static_cast<std::size_t>(t)] = k;
+      const std::int32_t w = data_->tokens[static_cast<std::size_t>(t)];
+      auto [it, inserted] = word_delta.try_emplace(w);
+      if (inserted) {
+        it->second.assign(static_cast<std::size_t>(topics), 0.0F);
+      }
+      it->second[static_cast<std::size_t>(k)] += 1.0F;
+      totals_delta[static_cast<std::size_t>(k)] += 1.0F;
+    }
+    for (const auto& [w, delta] : word_delta) {
+      ctx.Update(LdaApp::kTableWordTopic, w, delta);
+    }
+    ctx.Update(LdaApp::kTableTotals, 0, totals_delta);
+    doc_initialized_[static_cast<std::size_t>(doc)] = 1;
+  }
+
+  const CorpusDataset* data_;
+  LdaConfig config_;
+  std::vector<std::int32_t> z_;
+  std::vector<char> doc_initialized_;
+};
+
+// Every row of a table in hex, so equal strings mean bit-identical rows.
+std::string HexRows(const ModelStore& store, int table, std::int64_t rows) {
+  std::string out;
+  std::vector<float> row;
+  char buf[32];
+  for (std::int64_t r = 0; r < rows; ++r) {
+    store.ReadRow(table, r, row);
+    for (const float v : row) {
+      std::snprintf(buf, sizeof(buf), "%a,", static_cast<double>(v));
+      out += buf;
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+// Six sequential clocks of three uneven ranges each, from the same store
+// seed and the same per-range Rng. The first clock initializes every
+// document; before clock 4 some word rows are set negative or to -0.0 (as
+// a rollback can leave them), so the clamp runs inside ProcessRange.
+// topics = 13 is not a multiple of kLanes, so the conditional's tail runs.
+TEST(Lda, ProcessRangeMatchesScalarOracle) {
+  CorpusConfig cc;
+  cc.docs = 90;
+  cc.vocab = 160;
+  cc.true_topics = 5;
+  cc.avg_doc_len = 24;
+  const CorpusDataset data = GenerateCorpus(cc);
+  for (const int topics : {16, 13}) {
+    SCOPED_TRACE(topics);
+    LdaConfig lc;
+    lc.topics = topics;
+    LdaApp app(&data, lc);
+    ScalarLdaOracle oracle(&data, lc);
+    ModelStore got(app.DefineModel().tables, 4, 9);
+    ModelStore want(oracle.DefineModel().tables, 4, 9);
+    const std::int64_t cuts[] = {0, 17, 58, cc.docs};
+    for (int clock = 0; clock < 6; ++clock) {
+      SCOPED_TRACE(clock);
+      if (clock == 3) {
+        std::vector<float> row(static_cast<std::size_t>(topics), -0.0F);
+        row[1] = -2.0F;
+        row[static_cast<std::size_t>(topics) - 1] = -1.0F;
+        for (const std::int64_t w : {0, 1, 2, 5, 11}) {
+          got.SetRow(LdaApp::kTableWordTopic, w, row);
+          want.SetRow(LdaApp::kTableWordTopic, w, row);
+        }
+      }
+      for (int r = 0; r < 3; ++r) {
+        const Rng rng(static_cast<std::uint64_t>(100 * clock + r));
+        AccessLog got_log;
+        AccessLog want_log;
+        WorkerContext got_ctx(r, &got, &got_log, rng);
+        WorkerContext want_ctx(r, &want, &want_log, rng);
+        app.ProcessRange(got_ctx, cuts[r], cuts[r + 1]);
+        oracle.ProcessRange(want_ctx, cuts[r], cuts[r + 1]);
+        EXPECT_EQ(got_ctx.rng().engine()(), want_ctx.rng().engine()()) << "range " << r;
+        for (AccessLog* log : {&got_log, &want_log}) {
+          std::sort(log->reads.begin(), log->reads.end());
+          std::sort(log->updates.begin(), log->updates.end());
+        }
+        EXPECT_EQ(got_log.reads, want_log.reads) << "range " << r;
+        EXPECT_EQ(got_log.updates, want_log.updates) << "range " << r;
+      }
+      ASSERT_EQ(app.assignments(), oracle.assignments());
+      ASSERT_EQ(HexRows(got, LdaApp::kTableWordTopic, cc.vocab),
+                HexRows(want, LdaApp::kTableWordTopic, cc.vocab));
+      ASSERT_EQ(HexRows(got, LdaApp::kTableTotals, 1), HexRows(want, LdaApp::kTableTotals, 1));
+    }
+    const double objective = app.ComputeObjective(got);
+    EXPECT_EQ(objective, oracle.ComputeObjective(want));
+    EXPECT_TRUE(std::isfinite(objective));
+  }
 }
 
 TEST(MatrixFactorization, MultiNodeMatchesSingleNodeQuality) {

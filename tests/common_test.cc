@@ -145,9 +145,10 @@ TEST(Rng, ZipfDegenerate) {
 
 TEST(Rng, CategoricalRespectsWeights) {
   Rng rng(5);
+  const std::vector<double> weights = {1.0, 9.0};
   int hits = 0;
   for (int i = 0; i < 10000; ++i) {
-    if (rng.Categorical({1.0, 9.0}) == 1) {
+    if (rng.Categorical(weights) == 1) {
       ++hits;
     }
   }
@@ -156,8 +157,38 @@ TEST(Rng, CategoricalRespectsWeights) {
 
 TEST(Rng, CategoricalZeroWeightNeverPicked) {
   Rng rng(6);
+  const std::vector<double> weights = {1.0, 0.0, 1.0};
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_NE(rng.Categorical({1.0, 0.0, 1.0}), 1u);
+    EXPECT_NE(rng.Categorical(weights), 1u);
+  }
+}
+
+// The draws are pinned to the serial form: sum the weights in index order,
+// draw Uniform(0, total), subtract-scan. Passing that total in must not
+// change a draw.
+TEST(Rng, CategoricalMatchesSerialOracle) {
+  Rng weights_rng(31);
+  Rng summed(17);
+  Rng given(17);
+  Rng oracle(17);
+  std::vector<double> weights(13);
+  for (int i = 0; i < 2000; ++i) {
+    double total = 0.0;
+    for (double& w : weights) {
+      w = weights_rng.Bernoulli(0.2) ? 0.0 : weights_rng.Uniform(0.0, 3.0);
+      total += w;
+    }
+    double target = oracle.Uniform(0.0, total);
+    std::size_t want = weights.size() - 1;
+    for (std::size_t k = 0; k < weights.size(); ++k) {
+      target -= weights[k];
+      if (target <= 0.0) {
+        want = k;
+        break;
+      }
+    }
+    ASSERT_EQ(summed.Categorical(weights), want) << "draw " << i;
+    ASSERT_EQ(given.Categorical(weights, total), want) << "draw " << i;
   }
 }
 

@@ -1,7 +1,8 @@
 // Parallel and sequential execution must produce the same virtual
 // results. One seeded churn schedule (bulk additions, warned evictions,
 // unwarned failures and zero-warning revocations the detector confirms)
-// runs twice, once on the worker thread pool and once sequentially.
+// runs twice, once on the worker thread pool and once sequentially, for
+// MF and for LDA.
 // Every IterationReport field except the objective, and every node's
 // per-clock fabric traffic, must match bit for bit: which rows a node
 // touches does not depend on thread interleaving, only the float sums
@@ -15,6 +16,7 @@
 
 #include "src/agileml/runtime.h"
 #include "src/apps/datasets.h"
+#include "src/apps/lda.h"
 #include "src/apps/mf.h"
 #include "src/common/rng.h"
 
@@ -61,14 +63,18 @@ class ParallelDeterminism : public ::testing::TestWithParam<int> {
     rc.items = 150;
     rc.ratings = 8000;
     data_ = GenerateRatings(rc);
+    CorpusConfig cc;
+    cc.docs = 600;
+    cc.vocab = 400;
+    cc.true_topics = 6;
+    cc.avg_doc_len = 30;
+    corpus_ = GenerateCorpus(cc);
   }
 
-  // Runs the seed's churn schedule; returns one description per clock.
-  std::vector<std::string> RunSchedule(bool parallel) const {
+  // Runs the seed's churn schedule on a fresh app; returns one description
+  // per clock.
+  std::vector<std::string> RunSchedule(MLApp* app, bool parallel) const {
     Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919);
-    MfConfig mc;
-    mc.rank = 8;
-    MatrixFactorizationApp app(&data_, mc);
     AgileMLConfig config;
     config.num_partitions = 16;
     config.data_blocks = 64;
@@ -85,7 +91,7 @@ class ParallelDeterminism : public ::testing::TestWithParam<int> {
     for (NodeId id = 100; id < 106; ++id) {
       initial.push_back({id, Tier::kTransient, 8, kInvalidAllocation});
     }
-    AgileMLRuntime runtime(&app, config, initial);
+    AgileMLRuntime runtime(app, config, initial);
     NodeId next_id = 1000;
     std::vector<std::string> clocks;
     auto run_clocks = [&](int n) {
@@ -130,15 +136,33 @@ class ParallelDeterminism : public ::testing::TestWithParam<int> {
   }
 
   RatingsDataset data_;
+  CorpusDataset corpus_;
 };
 
-TEST_P(ParallelDeterminism, ChurnedScheduleMatchesSequentialClockByClock) {
-  const std::vector<std::string> sequential = RunSchedule(false);
-  const std::vector<std::string> parallel = RunSchedule(true);
+void ExpectSameClocks(const std::vector<std::string>& parallel,
+                      const std::vector<std::string>& sequential) {
   ASSERT_EQ(parallel.size(), sequential.size());
   for (std::size_t i = 0; i < sequential.size(); ++i) {
     EXPECT_EQ(parallel[i], sequential[i]) << "clock " << i;
   }
+}
+
+TEST_P(ParallelDeterminism, ChurnedScheduleMatchesSequentialClockByClock) {
+  MfConfig mc;
+  mc.rank = 8;
+  MatrixFactorizationApp sequential_app(&data_, mc);
+  MatrixFactorizationApp parallel_app(&data_, mc);
+  const std::vector<std::string> sequential = RunSchedule(&sequential_app, false);
+  ExpectSameClocks(RunSchedule(&parallel_app, true), sequential);
+}
+
+TEST_P(ParallelDeterminism, LdaChurnedScheduleMatchesSequentialClockByClock) {
+  LdaConfig lc;
+  lc.topics = 16;
+  LdaApp sequential_app(&corpus_, lc);
+  LdaApp parallel_app(&corpus_, lc);
+  const std::vector<std::string> sequential = RunSchedule(&sequential_app, false);
+  ExpectSameClocks(RunSchedule(&parallel_app, true), sequential);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDeterminism, ::testing::Values(1, 2, 3));
