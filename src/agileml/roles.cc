@@ -7,6 +7,17 @@
 
 namespace proteus {
 
+namespace {
+
+// ActivePSs run on this fraction of transient nodes ("best performance
+// when running ActivePSs on half of the resources", §3.3).
+constexpr double kActivePsFraction = 0.5;
+// Ratio thresholds from §3.3: stage 2 above 1:1, stage 3 above 15:1.
+constexpr double kStage2Threshold = 1.0;
+constexpr double kStage3Threshold = 15.0;
+
+}  // namespace
+
 const char* StageName(Stage stage) {
   switch (stage) {
     case Stage::kStage1:
@@ -47,10 +58,10 @@ Stage RolePlanner::PickStage(const TierCounts& counts) const {
     return Stage::kStage1;
   }
   const double ratio = counts.Ratio();
-  if (ratio > config_.stage3_threshold) {
+  if (ratio > kStage3Threshold) {
     return Stage::kStage3;
   }
-  if (ratio > config_.stage2_threshold) {
+  if (ratio > kStage2Threshold) {
     return Stage::kStage2;
   }
   return Stage::kStage1;
@@ -145,7 +156,7 @@ RoleAssignment RolePlanner::Plan(const std::vector<NodeInfo>& nodes, int num_par
   // kept for stability.
   int want_actives = config_.forced_active_ps_count.has_value()
                          ? *config_.forced_active_ps_count
-                         : static_cast<int>(std::lround(config_.active_ps_fraction *
+                         : static_cast<int>(std::lround(kActivePsFraction *
                                                         static_cast<double>(counts.transient)));
   want_actives = std::clamp(want_actives, 1, counts.transient);
   want_actives = std::min(want_actives, num_partitions);

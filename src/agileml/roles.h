@@ -43,12 +43,6 @@ struct RoleAssignment {
 };
 
 struct RolePlannerConfig {
-  // ActivePSs run on this fraction of transient nodes ("best performance
-  // when running ActivePSs on half of the resources", §3.3).
-  double active_ps_fraction = 0.5;
-  // Ratio thresholds from §3.3: stage 2 above 1:1, stage 3 above 15:1.
-  double stage2_threshold = 1.0;
-  double stage3_threshold = 15.0;
   // Benchmarks pin the stage to compare modalities (Figs. 11-14).
   std::optional<Stage> forced_stage;
   // Benchmarks also pin the ActivePS count (Fig. 12 sweeps 16/32/48).

@@ -10,6 +10,11 @@
 namespace proteus {
 
 namespace {
+// Fraction of per-node communication that overlaps with compute
+// (write-back caches send updates asynchronously during the clock;
+// §2.1). Per-node time = max(compute, comm) + (1-overlap)*min(...).
+constexpr double kCommComputeOverlap = 0.85;
+
 // Sorts and dedups one node's logged keys, then adds each distinct row's
 // wire bytes (row_bytes, per table) to its partition's tally.
 void TallyDistinctRows(std::vector<RowKey>& keys, const ModelStore& model,
@@ -794,7 +799,7 @@ IterationReport AgileMLRuntime::RunClock() {
     }
     const SimDuration comm = fabric_.RoundCommTime(node.id);
     const SimDuration total = std::max(compute, comm) +
-                              (1.0 - config_.comm_compute_overlap) * std::min(compute, comm);
+                              (1.0 - kCommComputeOverlap) * std::min(compute, comm);
     report.max_compute = std::max(report.max_compute, compute);
     report.max_comm = std::max(report.max_comm, comm);
     if (total > report.bottleneck_time) {
@@ -818,7 +823,7 @@ IterationReport AgileMLRuntime::RunClock() {
   // bisection-floor excess is transport. The two sides reassemble into
   // bottleneck_time exactly — the analyzer's 100%-attribution invariant.
   {
-    const double residue = 1.0 - config_.comm_compute_overlap;
+    const double residue = 1.0 - kCommComputeOverlap;
     SimDuration compute_part = gated_by_compute ? gate_compute : residue * gate_compute;
     compute_part = std::min(compute_part, report.bottleneck_time);
     report.critical_compute = compute_part;

@@ -61,10 +61,6 @@ struct AgileMLConfig {
   double storage_bandwidth = 6.25e7;
   // Fixed per-clock synchronization overhead (barrier + control RPCs).
   SimDuration barrier_overhead = 0.05;
-  // Fraction of per-node communication that overlaps with compute
-  // (write-back caches send updates asynchronously during the clock;
-  // §2.1). Per-node time = max(compute, comm) + (1-overlap)*min(...).
-  double comm_compute_overlap = 0.85;
   // Active->Backup streaming happens every this many clocks.
   int backup_sync_every = 1;
   // Input data divided into this many blocks for ownership tracking.

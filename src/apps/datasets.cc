@@ -7,6 +7,16 @@
 
 namespace proteus {
 
+namespace {
+
+constexpr int kTrueRank = 8;              // Rank of the planted low-rank structure.
+constexpr double kRatingNoise = 0.1;      // Additive Gaussian noise on ratings.
+constexpr double kClassSeparation = 2.0;  // Distance between class centers.
+constexpr double kFeatureNoise = 1.0;     // Gaussian noise around a class center.
+constexpr double kWordZipf = 1.05;        // Within-topic word-frequency skew.
+
+}  // namespace
+
 RatingsDataset GenerateRatings(const RatingsConfig& config) {
   PROTEUS_CHECK_GT(config.users, 0);
   PROTEUS_CHECK_GT(config.items, 0);
@@ -18,11 +28,11 @@ RatingsDataset GenerateRatings(const RatingsConfig& config) {
   data.item.reserve(static_cast<std::size_t>(config.ratings));
   data.value.reserve(static_cast<std::size_t>(config.ratings));
 
-  // Planted factors: entries ~ N(0, 1/sqrt(true_rank)) so that planted
+  // Planted factors: entries ~ N(0, 1/sqrt(kTrueRank)) so that planted
   // ratings have unit-order variance.
-  const double scale = 1.0 / std::sqrt(static_cast<double>(config.true_rank));
-  std::vector<float> lstar(static_cast<std::size_t>(config.users * config.true_rank));
-  std::vector<float> rstar(static_cast<std::size_t>(config.items * config.true_rank));
+  const double scale = 1.0 / std::sqrt(static_cast<double>(kTrueRank));
+  std::vector<float> lstar(static_cast<std::size_t>(config.users * kTrueRank));
+  std::vector<float> rstar(static_cast<std::size_t>(config.items * kTrueRank));
   for (auto& v : lstar) {
     v = static_cast<float>(rng.Normal(0.0, scale));
   }
@@ -34,14 +44,14 @@ RatingsDataset GenerateRatings(const RatingsConfig& config) {
     const auto u = static_cast<std::int32_t>(rng.UniformInt(0, config.users - 1));
     const auto i = static_cast<std::int32_t>(rng.Zipf(config.items, config.item_zipf));
     double dot = 0.0;
-    for (int k = 0; k < config.true_rank; ++k) {
+    for (int k = 0; k < kTrueRank; ++k) {
       dot += static_cast<double>(
-                 lstar[static_cast<std::size_t>(u) * config.true_rank + k]) *
-             static_cast<double>(rstar[static_cast<std::size_t>(i) * config.true_rank + k]);
+                 lstar[static_cast<std::size_t>(u) * kTrueRank + k]) *
+             static_cast<double>(rstar[static_cast<std::size_t>(i) * kTrueRank + k]);
     }
     data.user.push_back(u);
     data.item.push_back(i);
-    data.value.push_back(static_cast<float>(dot + rng.Normal(0.0, config.noise)));
+    data.value.push_back(static_cast<float>(dot + rng.Normal(0.0, kRatingNoise)));
   }
   if (config.sort_by_user) {
     std::vector<std::size_t> order(static_cast<std::size_t>(config.ratings));
@@ -83,7 +93,7 @@ FeaturesDataset GenerateFeatures(const FeaturesConfig& config) {
     for (int a = 0; a < active_dims; ++a) {
       const auto d = static_cast<std::size_t>(rng.UniformInt(0, config.dim - 1));
       centers[static_cast<std::size_t>(c) * config.dim + d] = static_cast<float>(
-          rng.Normal(0.0, config.class_separation / std::sqrt(active_dims)));
+          rng.Normal(0.0, kClassSeparation / std::sqrt(active_dims)));
     }
   }
 
@@ -93,7 +103,7 @@ FeaturesDataset GenerateFeatures(const FeaturesConfig& config) {
     float* row = &data.x[static_cast<std::size_t>(s) * config.dim];
     const float* center = &centers[static_cast<std::size_t>(y) * config.dim];
     for (int d = 0; d < config.dim; ++d) {
-      row[d] = center[d] + static_cast<float>(rng.Normal(0.0, config.noise));
+      row[d] = center[d] + static_cast<float>(rng.Normal(0.0, kFeatureNoise));
     }
   }
   return data;
@@ -126,11 +136,11 @@ CorpusDataset GenerateCorpus(const CorpusConfig& config) {
       std::int64_t word = 0;
       if (rng.Bernoulli(0.85)) {
         // In-topic word, Zipf-distributed within the topic's slice.
-        const std::int64_t offset = rng.Zipf(std::max<std::int64_t>(1, slice), config.word_zipf);
+        const std::int64_t offset = rng.Zipf(std::max<std::int64_t>(1, slice), kWordZipf);
         word = topic * slice + offset;
       } else {
         // Background word over the whole vocabulary.
-        word = rng.Zipf(config.vocab, config.word_zipf);
+        word = rng.Zipf(config.vocab, kWordZipf);
       }
       data.tokens.push_back(static_cast<std::int32_t>(std::min(word, config.vocab - 1)));
     }

@@ -24,8 +24,6 @@ struct RatingsConfig {
   std::int64_t users = 20000;
   std::int64_t items = 2000;
   std::int64_t ratings = 500000;
-  int true_rank = 8;       // Rank of the planted low-rank structure.
-  double noise = 0.1;      // Additive Gaussian noise on ratings.
   double item_zipf = 1.1;  // Item-popularity skew.
   // Sort ratings by user id. Real MF deployments partition training data
   // by user so each worker owns a contiguous user range (its L rows stay
@@ -52,8 +50,6 @@ struct FeaturesConfig {
   std::int64_t samples = 8192;
   int dim = 1024;
   int classes = 64;
-  double class_separation = 2.0;  // Distance between class centers.
-  double noise = 1.0;
   std::uint64_t seed = 43;
 };
 
@@ -75,7 +71,6 @@ struct CorpusConfig {
   std::int64_t vocab = 4000;
   int true_topics = 16;     // Planted topics used for generation.
   int avg_doc_len = 100;
-  double word_zipf = 1.05;  // Within-topic word-frequency skew.
   std::uint64_t seed = 44;
 };
 

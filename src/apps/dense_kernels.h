@@ -1,5 +1,4 @@
-// Dense kernels shared by the classifier apps (MLR, DNN) and LDA's
-// Gibbs sampler.
+// Dense kernels for MLR and LDA's Gibbs sampler.
 //
 // Plain C++ shaped so that GCC vectorizes the chunk loops into SSE2
 // (mulps/addps; mulpd/divpd for LDA's double conditional) at the

@@ -63,7 +63,7 @@ constexpr std::size_t kSlotsPerBlock = 64;
 void LdaApp::ProcessRange(WorkerContext& ctx, std::int64_t begin, std::int64_t end) {
   const int topics = config_.topics;
   const auto width = static_cast<std::size_t>(topics);
-  const double alpha = config_.alpha;
+  const double alpha = kAlpha;
   const double beta = config_.beta;
   const double vbeta = static_cast<double>(data_->config.vocab) * beta;
 
@@ -150,10 +150,10 @@ void LdaApp::ProcessRange(WorkerContext& ctx, std::int64_t begin, std::int64_t e
 }
 
 double LdaApp::ComputeObjective(const ModelStore& model) const {
-  const std::int64_t sample = std::min(config_.objective_sample_docs, data_->num_docs());
+  const std::int64_t sample = std::min(kObjectiveSampleDocs, data_->num_docs());
   PROTEUS_CHECK_GT(sample, 0);
   const int topics = config_.topics;
-  const double alpha = config_.alpha;
+  const double alpha = kAlpha;
   const double beta = config_.beta;
   const double vbeta = static_cast<double>(data_->config.vocab) * beta;
 

@@ -22,15 +22,16 @@ namespace proteus {
 
 struct LdaConfig {
   int topics = 64;
-  double alpha = 0.1;  // Document-topic smoothing.
   double beta = 0.01;  // Topic-word smoothing.
-  std::int64_t objective_sample_docs = 256;
 };
 
 class LdaApp : public MLApp {
  public:
   static constexpr int kTableWordTopic = 0;  // vocab x topics counts.
   static constexpr int kTableTotals = 1;     // 1 x topics totals.
+  static constexpr double kAlpha = 0.1;      // Document-topic smoothing.
+  // Documents in the objective's log-likelihood sample.
+  static constexpr std::int64_t kObjectiveSampleDocs = 256;
 
   LdaApp(const CorpusDataset* data, LdaConfig config);
 

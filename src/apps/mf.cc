@@ -6,6 +6,12 @@
 
 namespace proteus {
 
+namespace {
+
+constexpr float kInitJitter = 0.05F;  // Parameter init range.
+
+}  // namespace
+
 MatrixFactorizationApp::MatrixFactorizationApp(const RatingsDataset* data, MfConfig config)
     : data_(data), config_(config) {
   PROTEUS_CHECK(data != nullptr);
@@ -15,9 +21,9 @@ MatrixFactorizationApp::MatrixFactorizationApp(const RatingsDataset* data, MfCon
 ModelInit MatrixFactorizationApp::DefineModel() const {
   ModelInit init;
   init.tables.push_back(
-      {kTableL, data_->config.users, config_.rank, 0.0F, config_.init_jitter});
+      {kTableL, data_->config.users, config_.rank, 0.0F, kInitJitter});
   init.tables.push_back(
-      {kTableR, data_->config.items, config_.rank, 0.0F, config_.init_jitter});
+      {kTableR, data_->config.items, config_.rank, 0.0F, kInitJitter});
   return init;
 }
 

@@ -16,7 +16,6 @@ struct MfConfig {
   int rank = 64;                // Factorization rank (paper: 1000 / 100).
   double learning_rate = 0.02;
   double regularization = 0.02;
-  float init_jitter = 0.05F;    // Parameter init range.
   // Fraction of ratings used for the RMSE objective sample.
   std::int64_t objective_sample = 50000;
 };

@@ -10,6 +10,12 @@
 
 namespace proteus {
 
+namespace {
+
+constexpr float kInitJitter = 0.01F;  // Parameter init range.
+
+}  // namespace
+
 MultinomialLogRegApp::MultinomialLogRegApp(const FeaturesDataset* data, MlrConfig config)
     : data_(data), config_(config) {
   PROTEUS_CHECK(data != nullptr);
@@ -18,7 +24,7 @@ MultinomialLogRegApp::MultinomialLogRegApp(const FeaturesDataset* data, MlrConfi
 ModelInit MultinomialLogRegApp::DefineModel() const {
   ModelInit init;
   init.tables.push_back({kTableW, static_cast<std::int64_t>(data_->config.classes),
-                         data_->config.dim, 0.0F, config_.init_jitter});
+                         data_->config.dim, 0.0F, kInitJitter});
   return init;
 }
 

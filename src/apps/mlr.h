@@ -20,7 +20,6 @@ namespace proteus {
 struct MlrConfig {
   double learning_rate = 0.05;
   double regularization = 1e-4;
-  float init_jitter = 0.01F;
   std::int64_t objective_sample = 2048;
 };
 

@@ -10,12 +10,4 @@ AppProfile AgileMLProfile() {
   return p;
 }
 
-AppProfile CheckpointingProfile() {
-  AppProfile p;
-  p.phi = 0.95;
-  p.sigma = 4 * kMinute;    // Stop, re-shard, restart from checkpoint.
-  p.lambda = 10 * kMinute;  // Re-acquire machines + reload + lost work.
-  return p;
-}
-
 }  // namespace proteus

@@ -19,11 +19,10 @@ struct AppProfile {
   SimDuration lambda = 60 * kSecond;
 };
 
-// Profiles used in the evaluation: AgileML recovers from evictions in
-// seconds (partition moves), while a checkpointing system loses the work
-// since the last checkpoint and pays a full restart.
+// The profile used in the evaluation: AgileML recovers from evictions in
+// seconds (partition moves). The job simulator runs the checkpointing
+// baselines with it too (Table 2) and models their restart separately.
 AppProfile AgileMLProfile();
-AppProfile CheckpointingProfile();
 
 }  // namespace proteus
 

@@ -8,6 +8,18 @@
 
 namespace proteus {
 
+namespace {
+
+// Renewal decisions happen this close to a billing-hour end.
+constexpr SimDuration kRenewalLead = 4 * kMinute;
+// Candidate must beat the current cost-per-work by this relative
+// margin to be acquired (hysteresis against churn).
+constexpr double kImprovementMargin = 0.02;
+// Work produced per on-demand instance per hour (0 per Fig. 6).
+constexpr WorkUnits kOnDemandWorkPerHour = 0.0;
+
+}  // namespace
+
 BidBrain::BidBrain(const InstanceTypeCatalog* catalog, const TraceStore* prices,
                    const EvictionModel* estimator, BidBrainConfig config)
     : catalog_(catalog), prices_(prices), estimator_(estimator), config_(std::move(config)) {
@@ -44,7 +56,7 @@ AllocationPlan BidBrain::PlanFor(SimTime now, const LiveAllocation& alloc) const
     plan.hourly_price = type.on_demand_price;
     plan.beta = 0.0;
     plan.omega = remaining;
-    plan.work_per_hour = config_.on_demand_work_per_hour;
+    plan.work_per_hour = kOnDemandWorkPerHour;
     return plan;
   }
   const Money price = prices_->Get(alloc.market).PriceAt(now);
@@ -131,7 +143,7 @@ std::vector<BidAction> BidBrain::Decide(SimTime now,
         }
       }
     }
-    if (best.has_value() && best_cpw < current_cpw * (1.0 - config_.improvement_margin)) {
+    if (best.has_value() && best_cpw < current_cpw * (1.0 - kImprovementMargin)) {
       actions.push_back(*best);
       chosen = best;
       chosen_plan = best_plan;
@@ -152,7 +164,7 @@ std::vector<BidAction> BidBrain::Decide(SimTime now,
     const double elapsed = now - alloc.start;
     const double into_hour = elapsed - kHour * std::floor(elapsed / kHour);
     const SimDuration remaining = kHour - into_hour;
-    if (remaining > config_.renewal_lead) {
+    if (remaining > kRenewalLead) {
       continue;  // Not near a billing boundary yet.
     }
     // Renewed: this allocation restarts a full hour at the current price.

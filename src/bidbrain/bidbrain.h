@@ -34,16 +34,7 @@ struct BidBrainConfig {
   int allocation_quantum = 16;
   // Cap on total spot instances (application scalability limit).
   int max_spot_instances = 192;
-  // Periodic decision cadence (§5: every two minutes).
-  SimDuration decision_period = 2 * kMinute;
-  // Renewal decisions happen this close to a billing-hour end.
-  SimDuration renewal_lead = 4 * kMinute;
-  // Candidate must beat the current cost-per-work by this relative
-  // margin to be acquired (hysteresis against churn).
-  double improvement_margin = 0.02;
   AppProfile app;
-  // Work produced per on-demand instance per hour (0 per Fig. 6).
-  WorkUnits on_demand_work_per_hour = 0.0;
 };
 
 // LiveAllocation and BidAction moved to acquisition_policy.h; BidBrain

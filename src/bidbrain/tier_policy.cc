@@ -12,6 +12,29 @@ namespace {
 
 constexpr double kEps = 1e-6;
 
+// Reliable tier: the floor is what the serving tier needs regardless of
+// economics.
+constexpr double kMinReliableFraction = 0.05;
+
+// Transient tier (spot): bid (current price + delta); beta comes from
+// the trained EvictionModel at that delta. Warned drains destroy little
+// work.
+constexpr Money kBidDelta = 0.02;
+constexpr double kTransientLossPenalty = 0.25;
+
+// Ultra-transient tier (serverless): fixed slot pricing, zero warning.
+// The penalty is the largest of the three because every loss is silent
+// (detector latency + rollback to the last clean backup).
+constexpr Money kServerlessPricePerSlotHour = 0.012;
+constexpr int kServerlessSlotVcpus = 2;
+constexpr double kServerlessLossPenalty = 0.75;
+// Cap on the serverless share of target_vcpus; keep this at or below
+// the runtime TierGuard's max_worker_fraction or admission will clamp.
+constexpr double kMaxServerlessFraction = 0.4;
+static_assert(kBidDelta >= 0.0 && kServerlessSlotVcpus > 0);
+static_assert(kMaxServerlessFraction >= 0.0 && kMaxServerlessFraction <= 1.0);
+static_assert(kMinReliableFraction >= 0.0 && kMinReliableFraction <= 1.0);
+
 // Effective $ per useful vCPU-hour: price inflated by the expected
 // fraction of the hour's work a loss destroys.
 double Effective(double price_per_vcpu_hour, double beta, double penalty) {
@@ -94,14 +117,8 @@ TieredAcquisitionPolicy::TieredAcquisitionPolicy(const InstanceTypeCatalog* cata
   PROTEUS_CHECK(prices_ != nullptr);
   PROTEUS_CHECK(estimator_ != nullptr);
   PROTEUS_CHECK_GT(config_.target_vcpus, 0);
-  PROTEUS_CHECK_GE(config_.bid_delta, 0.0);
-  PROTEUS_CHECK_GT(config_.serverless_slot_vcpus, 0);
   PROTEUS_CHECK_GE(config_.serverless_beta, 0.0);
   PROTEUS_CHECK_LE(config_.serverless_beta, 1.0);
-  PROTEUS_CHECK_GE(config_.max_serverless_fraction, 0.0);
-  PROTEUS_CHECK_LE(config_.max_serverless_fraction, 1.0);
-  PROTEUS_CHECK_GE(config_.min_reliable_fraction, 0.0);
-  PROTEUS_CHECK_LE(config_.min_reliable_fraction, 1.0);
 }
 
 std::string TieredAcquisitionPolicy::name() const {
@@ -122,9 +139,9 @@ bool TieredAcquisitionPolicy::BestSpotMarket(SimTime now, MarketKey* market, Mon
       continue;
     }
     const Money p = prices_->Get(key).PriceAt(now);
-    const EvictionStats stats = estimator_->Estimate(key, config_.bid_delta);
-    const double eff = Effective((p + config_.bid_delta) / type->vcpus, stats.beta,
-                                 config_.transient_loss_penalty);
+    const EvictionStats stats = estimator_->Estimate(key, kBidDelta);
+    const double eff =
+        Effective((p + kBidDelta) / type->vcpus, stats.beta, kTransientLossPenalty);
     if (eff < best_effective) {
       best_effective = eff;
       best = &key;
@@ -147,8 +164,8 @@ TierSplit TieredAcquisitionPolicy::ComputeSplit(SimTime now) const {
       Effective(reliable_type.on_demand_price / reliable_type.vcpus, /*beta=*/0.0,
                 /*penalty=*/0.0);
   split.serverless_effective =
-      Effective(config_.serverless_price_per_slot_hour / config_.serverless_slot_vcpus,
-                config_.serverless_beta, config_.serverless_loss_penalty);
+      Effective(kServerlessPricePerSlotHour / kServerlessSlotVcpus, config_.serverless_beta,
+                kServerlessLossPenalty);
   MarketKey spot_market;
   Money spot_price = 0.0;
   const bool have_spot =
@@ -162,9 +179,9 @@ TierSplit TieredAcquisitionPolicy::ComputeSplit(SimTime now) const {
   // clamped to its exposure cap.
   const int target = config_.target_vcpus;
   split.reliable_vcpus =
-      std::min(target, static_cast<int>(config_.min_reliable_fraction * target + 0.999999));
+      std::min(target, static_cast<int>(kMinReliableFraction * target + 0.999999));
   int remaining = target - split.reliable_vcpus;
-  const int serverless_cap = static_cast<int>(config_.max_serverless_fraction * target);
+  const int serverless_cap = static_cast<int>(kMaxServerlessFraction * target);
   if (split.serverless_effective < split.transient_effective) {
     split.serverless_vcpus = std::min(remaining, serverless_cap);
     remaining -= split.serverless_vcpus;
@@ -184,10 +201,6 @@ TierSplit TieredAcquisitionPolicy::ComputeSplit(SimTime now) const {
   return split;
 }
 
-int TieredAcquisitionPolicy::ServerlessSlotTarget(SimTime now) const {
-  return ComputeSplit(now).serverless_vcpus / config_.serverless_slot_vcpus;
-}
-
 std::vector<BidAction> TieredAcquisitionPolicy::Decide(
     SimTime now, const std::vector<LiveAllocation>& live) const {
   const TierSplit split = ComputeSplit(now);
@@ -203,8 +216,7 @@ std::vector<BidAction> TieredAcquisitionPolicy::Decide(
   }
   const InstanceType& type = catalog_->Get(market.instance_type);
   const int count = (deficit + type.vcpus - 1) / type.vcpus;
-  return {{BidAction::Kind::kAcquire, market, count, price + config_.bid_delta,
-           kInvalidAllocation}};
+  return {{BidAction::Kind::kAcquire, market, count, price + kBidDelta, kInvalidAllocation}};
 }
 
 }  // namespace proteus

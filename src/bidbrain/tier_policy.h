@@ -19,9 +19,10 @@
 // exposure cap that mirrors the runtime-side TierGuard bound.
 //
 // Decide() emits spot-market actions only (the transient share), so the
-// policy is backtestable through the existing BacktestEngine unchanged;
-// drivers that own a serverless tier (ProteusRuntime) read the
-// recommended slot count via ComputeSplit()/ServerlessSlotTarget().
+// policy is backtestable through the existing BacktestEngine unchanged.
+// ComputeSplit() reports the full three-way split; no driver acquires
+// its serverless share (ProteusRuntime sizes its serverless enrollment
+// from ProteusConfig::serverless_target).
 //
 // Beside it live the baseline policies the job simulator and the Policy
 // Lab (DESIGN.md §9) share:
@@ -89,29 +90,13 @@ struct TieredPolicyConfig {
   int target_vcpus = 512;  // Total capacity target across all tiers.
 
   // Reliable tier (on-demand): beta = 0 by definition; priced at the
-  // catalog's on-demand rate for this type. The floor is what the
-  // serving tier needs regardless of economics.
+  // catalog's on-demand rate for this type.
   std::string reliable_type = "c4.xlarge";
-  double min_reliable_fraction = 0.05;
 
-  // Transient tier (spot): bid (current price + delta); beta comes from
-  // the trained EvictionModel at that delta. Warned drains destroy
-  // little work.
-  Money bid_delta = 0.02;
-  double transient_loss_penalty = 0.25;
-
-  // Ultra-transient tier (serverless): fixed slot pricing, zero
-  // warning. beta_serverless should fold in both the burst-duration cap
-  // and the storm rate (see ServerlessTierConfig); the penalty is the
-  // largest of the three because every loss is silent (detector latency
-  // + rollback to the last clean backup).
-  Money serverless_price_per_slot_hour = 0.012;
-  int serverless_slot_vcpus = 2;
+  // Ultra-transient tier (serverless): beta_serverless should fold in
+  // both the burst-duration cap and the storm rate (see
+  // ServerlessTierConfig).
   double serverless_beta = 0.30;
-  double serverless_loss_penalty = 0.75;
-  // Cap on the serverless share of target_vcpus; keep this at or below
-  // the runtime TierGuard's max_worker_fraction or admission will clamp.
-  double max_serverless_fraction = 0.4;
 };
 
 // One evaluated capacity split, exposed for drivers and tests.
@@ -141,11 +126,6 @@ class TieredAcquisitionPolicy : public AcquisitionPolicy {
 
   // The full three-way split at `now` given the live footprint.
   TierSplit ComputeSplit(SimTime now) const;
-
-  // Convenience: the serverless share expressed in slots (vcpus /
-  // slot_vcpus, rounded down). ProteusRuntime feeds this into
-  // serverless_target-style admission.
-  int ServerlessSlotTarget(SimTime now) const;
 
   const TieredPolicyConfig& config() const { return config_; }
 

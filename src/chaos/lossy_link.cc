@@ -21,7 +21,8 @@ namespace proteus {
 namespace {
 
 // Virtual seconds advanced per pump round; several rounds fit inside
-// one initial_rto, so retransmissions fire within a boundary's pump.
+// the reliable channel's initial RTO (50 ms), so retransmissions fire
+// within a boundary's pump.
 constexpr double kPumpDt = 0.01;
 // Pump-round bound per boundary (a reliable link that cannot reach
 // quiescence within this many rounds is a bug).

@@ -1,7 +1,5 @@
 #include "src/cluster/fairness.h"
 
-#include <cmath>
-
 namespace proteus {
 namespace cluster {
 
@@ -19,22 +17,6 @@ double JainIndex(const std::vector<double>& values) {
     return 1.0;
   }
   return (sum * sum) / (static_cast<double>(values.size()) * sum_sq);
-}
-
-double UtilitarianWelfare(const std::vector<double>& values) {
-  double sum = 0.0;
-  for (const double v : values) {
-    sum += v;
-  }
-  return sum;
-}
-
-double NashWelfare(const std::vector<double>& values) {
-  double sum = 0.0;
-  for (const double v : values) {
-    sum += std::log1p(v < 0.0 ? 0.0 : v);
-  }
-  return sum;
 }
 
 }  // namespace cluster

@@ -1,6 +1,6 @@
-// Fairness and welfare measures for the multi-tenant evaluation axes
-// (after the CS525 "Fair Shares" study: utilization/Pareto efficiency
-// vs short- and long-term fairness under greedy users).
+// Fairness measure for the multi-tenant evaluation axes (after the
+// CS525 "Fair Shares" study: utilization/Pareto efficiency vs short- and
+// long-term fairness under greedy users).
 #ifndef SRC_CLUSTER_FAIRNESS_H_
 #define SRC_CLUSTER_FAIRNESS_H_
 
@@ -13,15 +13,6 @@ namespace cluster {
 // equal; 1/n = one claimant has everything. Empty or all-zero inputs
 // return 1.0 (nothing is unfairly divided).
 double JainIndex(const std::vector<double>& values);
-
-// Utilitarian welfare: the sum. Companion to Jain for the
-// efficiency-vs-fairness tradeoff tables.
-double UtilitarianWelfare(const std::vector<double>& values);
-
-// Nash welfare (sum of log(1 + x)): rewards spreading allocation across
-// claimants; a mechanism that starves one tenant scores poorly even if
-// the total is unchanged.
-double NashWelfare(const std::vector<double>& values);
 
 }  // namespace cluster
 }  // namespace proteus

@@ -19,6 +19,10 @@ namespace cluster {
 namespace {
 
 constexpr double kEps = 1e-9;
+// Spot bid per slot, as a multiple of the type's on-demand price.
+constexpr double kBidMultiplier = 1.0;
+// Newly granted slots start producing this far into their first round.
+constexpr SimDuration kPrepDelay = 5 * kMinute;
 
 void AppendF(std::string& out, const char* fmt, ...) {
   char buf[256];
@@ -149,7 +153,7 @@ FleetResult ClusterScheduler::Run(const std::vector<TenantSpec>& specs, Allocato
   PROTEUS_CHECK_GE(config.rounds, 0);
   const double round_hours = config.round / kHour;
   const Money slot_bid =
-      catalog_->Get(config.slot_market.instance_type).on_demand_price * config.bid_multiplier;
+      catalog_->Get(config.slot_market.instance_type).on_demand_price * kBidMultiplier;
 
   SpotMarket market(*catalog_, *traces_);
 
@@ -374,12 +378,12 @@ FleetResult ClusterScheduler::Run(const std::vector<TenantSpec>& specs, Allocato
 
       std::vector<ProdWindow> windows;
       for (const AllocationId id : ts.slots) {
-        windows.push_back(WindowOf(market.Get(id), t0, t1, config.prep_delay));
+        windows.push_back(WindowOf(market.Get(id), t0, t1, kPrepDelay));
       }
       if (ts.od_alloc != kInvalidAllocation) {
         const Allocation& od = market.Get(ts.od_alloc);
         for (int k = 0; k < od.count; ++k) {
-          windows.push_back(WindowOf(od, t0, t1, config.prep_delay));
+          windows.push_back(WindowOf(od, t0, t1, kPrepDelay));
         }
       }
       // Work stops at cancellation even though retirement happens at the

@@ -48,12 +48,8 @@ struct FleetConfig {
   int rounds = 48;
   // The shared slot market: one slot == one instance of this type.
   MarketKey slot_market = {"z0", "c4.xlarge"};
-  // Spot bid per slot, as a multiple of the type's on-demand price.
-  double bid_multiplier = 1.0;
   // Work produced per slot per hour (scaling efficiency).
   double phi = 1.0;
-  // Newly granted slots start producing this far into their first round.
-  SimDuration prep_delay = 5 * kMinute;
   // Per-round slot capacity: the trace (sampled at each round start)
   // when non-empty, else the fixed value.
   CapacityTrace capacity;

@@ -8,6 +8,15 @@
 
 namespace proteus {
 
+namespace {
+
+// Bursty high-priority jobs: exponential durations with this mean,
+// sizes uniform up to this fraction of the cluster.
+constexpr SimDuration kBurstDurationMean = 45 * kMinute;
+constexpr double kBurstSizeMax = 0.5;
+
+}  // namespace
+
 CapacityTrace::CapacityTrace(std::vector<CapacityPoint> points) : points_(std::move(points)) {
   for (std::size_t i = 1; i < points_.size(); ++i) {
     PROTEUS_CHECK_GT(points_[i].time, points_[i - 1].time);
@@ -68,8 +77,8 @@ CapacityTrace GenerateCapacityTrace(const CapacityTraceConfig& config, SimDurati
     if (t >= duration) {
       break;
     }
-    bursts.push_back({t, t + rng.ExponentialMean(config.burst_duration_mean),
-                      rng.Uniform(0.05, config.burst_size_max)});
+    bursts.push_back({t, t + rng.ExponentialMean(kBurstDurationMean),
+                      rng.Uniform(0.05, kBurstSizeMax)});
   }
 
   std::vector<CapacityPoint> points;

@@ -63,8 +63,6 @@ struct CapacityTraceConfig {
   // Bursty high-priority jobs: Poisson arrivals, exponential durations,
   // uniform sizes.
   double bursts_per_day = 4.0;
-  SimDuration burst_duration_mean = 45 * kMinute;
-  double burst_size_max = 0.5;  // Fraction of the cluster.
   SimDuration step = 5 * kMinute;
 };
 

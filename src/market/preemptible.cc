@@ -7,15 +7,22 @@
 
 namespace proteus {
 
+namespace {
+
+constexpr double kDiscount = 0.70;  // Off the on-demand price.
+static_assert(kDiscount > 0.0 && kDiscount < 1.0);
+// Billing granularity and minimum charge.
+constexpr SimDuration kBillingGranularity = kMinute;
+constexpr SimDuration kMinimumCharge = 10 * kMinute;
+
+}  // namespace
+
 PreemptibleMarket::PreemptibleMarket(const InstanceTypeCatalog& catalog,
                                      PreemptibleConfig config, std::uint64_t seed)
-    : catalog_(catalog), config_(config), rng_(seed) {
-  PROTEUS_CHECK_GT(config.discount, 0.0);
-  PROTEUS_CHECK_LT(config.discount, 1.0);
-}
+    : catalog_(catalog), config_(config), rng_(seed) {}
 
 Money PreemptibleMarket::PricePerHour(const std::string& instance_type) const {
-  return catalog_.Get(instance_type).on_demand_price * (1.0 - config_.discount);
+  return catalog_.Get(instance_type).on_demand_price * (1.0 - kDiscount);
 }
 
 AllocationId PreemptibleMarket::Request(const std::string& instance_type, int count, SimTime t) {
@@ -64,11 +71,6 @@ const PreemptibleAllocation& PreemptibleMarket::Get(AllocationId id) const {
   return allocations_[static_cast<std::size_t>(id)];
 }
 
-SimTime PreemptibleMarket::WarningTime(AllocationId id) const {
-  const PreemptibleAllocation& alloc = Get(id);
-  return std::max(alloc.start, alloc.revocation_time - config_.warning);
-}
-
 Money PreemptibleMarket::Bill(AllocationId id, SimTime as_of) const {
   const PreemptibleAllocation& alloc = Get(id);
   SimTime end = alloc.running() ? as_of : std::min(alloc.end, as_of);
@@ -76,9 +78,9 @@ Money PreemptibleMarket::Bill(AllocationId id, SimTime as_of) const {
     return 0.0;
   }
   SimDuration used = end - alloc.start;
-  used = std::max(used, config_.minimum_charge);
+  used = std::max(used, kMinimumCharge);
   // Round up to the billing granularity.
-  used = std::ceil(used / config_.billing_granularity) * config_.billing_granularity;
+  used = std::ceil(used / kBillingGranularity) * kBillingGranularity;
   return PricePerHour(alloc.instance_type) * alloc.count * (used / kHour);
 }
 

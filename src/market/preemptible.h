@@ -3,7 +3,8 @@
 // Differences from the EC2 spot market, as the paper enumerates:
 //   1. fixed price at a 70% discount off on-demand — no price movement
 //      and therefore no bidding;
-//   2. a 30-second revocation warning instead of 2 minutes;
+//   2. a 30-second revocation warning instead of 2 minutes (not kept:
+//      the GCE baseline reacts to the revocation itself);
 //   3. instances live at most 24 hours;
 //   4. revocation is at the provider's discretion (we model a Poisson
 //      hazard), and — unlike EC2 — there is no refund for the partial
@@ -24,15 +25,10 @@
 namespace proteus {
 
 struct PreemptibleConfig {
-  double discount = 0.70;                 // Off the on-demand price.
-  SimDuration warning = 30 * kSecond;     // vs EC2's 2 minutes.
   SimDuration max_lifetime = 24 * kHour;  // Hard cap.
   // Poisson revocation hazard (per instance-hour). GCE historically
   // preempted 5-15% of instances per day under normal load.
   double revocations_per_hour = 0.01;
-  // Billing granularity and minimum charge.
-  SimDuration billing_granularity = kMinute;
-  SimDuration minimum_charge = 10 * kMinute;
 };
 
 struct PreemptibleAllocation {
@@ -64,8 +60,6 @@ class PreemptibleMarket {
 
   const PreemptibleAllocation& Get(AllocationId id) const;
   const std::vector<PreemptibleAllocation>& allocations() const { return allocations_; }
-
-  SimTime WarningTime(AllocationId id) const;
 
   // Per-minute billing with a 10-minute minimum; no refunds.
   Money Bill(AllocationId id, SimTime as_of) const;

@@ -8,6 +8,14 @@
 
 namespace proteus {
 
+namespace {
+
+// Per-second billing, no minimum, no refunds: serverless bills for
+// exactly what ran.
+constexpr SimDuration kBillingGranularity = kSecond;
+
+}  // namespace
+
 const char* ServerlessRevocationCauseName(ServerlessRevocationCause cause) {
   switch (cause) {
     case ServerlessRevocationCause::kNone:
@@ -144,9 +152,9 @@ Money ServerlessTier::Bill(AllocationId id, SimTime as_of) const {
   // Round the used duration up to the billing granularity; no minimum
   // charge, no refunds — you pay for exactly what ran.
   const SimDuration used = effective_end - alloc.start;
-  const double ticks = std::ceil(used / config_.billing_granularity);
-  const SimDuration billed = ticks * config_.billing_granularity;
-  return config_.rate_per_slot_hour * alloc.count * (billed / kHour);
+  const double ticks = std::ceil(used / kBillingGranularity);
+  const SimDuration billed = ticks * kBillingGranularity;
+  return kServerlessRatePerSlotHour * alloc.count * (billed / kHour);
 }
 
 Money ServerlessTier::TotalBill(SimTime as_of) const {

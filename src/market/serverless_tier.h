@@ -37,13 +37,11 @@
 
 namespace proteus {
 
+// Flat internal charge-back rate per slot-hour; far below spot. There
+// is no auction — what varies is reliability, not price.
+inline constexpr Money kServerlessRatePerSlotHour = 0.012;
+
 struct ServerlessTierConfig {
-  // Flat internal charge-back rate per slot-hour; far below spot. There
-  // is no auction — what varies is reliability, not price.
-  Money rate_per_slot_hour = 0.012;
-  // Per-second billing, no minimum, no refunds: serverless bills for
-  // exactly what ran.
-  SimDuration billing_granularity = kSecond;
   // Burstable duration cap per allocation (Lambda-style max lifetime).
   SimDuration max_burst = 45 * kMinute;
   // Background capacity dynamics of the shared pool.

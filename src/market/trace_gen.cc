@@ -13,8 +13,8 @@ PriceSeries GenerateSyntheticTrace(const InstanceType& type, SimDuration duratio
   PROTEUS_CHECK_GT(duration, 0.0);
   PROTEUS_CHECK_GT(config.step, 0.0);
   const Money od = type.on_demand_price;
-  const double log_base = std::log(od * config.base_fraction);
-  const Money floor = od * config.floor_fraction;
+  const double log_base = std::log(od * kTraceBaseFraction);
+  const Money floor = od * kTraceFloorFraction;
 
   // Pre-draw spike intervals: (start, end, peak multiple).
   struct Spike {
@@ -30,8 +30,8 @@ PriceSeries GenerateSyntheticTrace(const InstanceType& type, SimDuration duratio
     if (t >= duration) {
       break;
     }
-    const double log_min = std::log(config.spike_multiple_min);
-    const double log_max = std::log(config.spike_multiple_max);
+    const double log_min = std::log(kSpikeMultipleMin);
+    const double log_max = std::log(kSpikeMultipleMax);
     const double multiple = std::exp(rng.Uniform(log_min, log_max));
     const SimDuration len = std::max(config.step, rng.ExponentialMean(config.spike_duration_mean));
     spikes.push_back({t, t + len, od * multiple});
@@ -47,7 +47,7 @@ PriceSeries GenerateSyntheticTrace(const InstanceType& type, SimDuration duratio
   std::size_t started = 0;
   for (SimTime now = 0.0; now < duration; now += config.step) {
     // Quiet-regime OU step.
-    log_price += config.reversion * (log_base - log_price) + rng.Normal(0.0, config.volatility);
+    log_price += kTraceReversion * (log_base - log_price) + rng.Normal(0.0, kTraceVolatility);
     Money price = std::exp(log_price);
     while (started < spikes.size() && spikes[started].start <= now) {
       ++started;

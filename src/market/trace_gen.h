@@ -19,25 +19,26 @@
 
 namespace proteus {
 
+// Quiet-regime level, as a fraction of the on-demand price.
+inline constexpr double kTraceBaseFraction = 0.25;
+// Mean-reversion strength of the quiet-regime log price per step.
+inline constexpr double kTraceReversion = 0.05;
+// Per-step volatility of the quiet-regime log price.
+inline constexpr double kTraceVolatility = 0.02;
+// Spike peak as a multiple of the on-demand price: log-uniform in
+// [min, max]. AWS capped bids at 10x on-demand.
+inline constexpr double kSpikeMultipleMin = 1.05;
+inline constexpr double kSpikeMultipleMax = 8.0;
+// Hard floor as a fraction of on-demand (AWS never reaches zero).
+inline constexpr double kTraceFloorFraction = 0.1;
+
 struct SyntheticTraceConfig {
-  // Quiet-regime level, as a fraction of the on-demand price.
-  double base_fraction = 0.25;
-  // Mean-reversion strength of the quiet-regime log price per step.
-  double reversion = 0.05;
-  // Per-step volatility of the quiet-regime log price.
-  double volatility = 0.02;
   // Price spikes: Poisson arrivals per day.
   double spikes_per_day = 3.0;
-  // Spike peak as a multiple of the on-demand price: log-uniform in
-  // [min, max]. AWS capped bids at 10x on-demand.
-  double spike_multiple_min = 1.05;
-  double spike_multiple_max = 8.0;
   // Spike duration, exponential with this mean (seconds).
   SimDuration spike_duration_mean = 20 * kMinute;
   // Sampling step of the process (seconds).
   SimDuration step = 5 * kMinute;
-  // Hard floor as a fraction of on-demand (AWS never reaches zero).
-  double floor_fraction = 0.1;
 };
 
 // Generates a trace of the given duration for one instance type.

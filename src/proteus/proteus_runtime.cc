@@ -8,6 +8,13 @@
 
 namespace proteus {
 
+namespace {
+
+// BidBrain's decision cadence (§5: every two minutes).
+constexpr SimDuration kDecisionPeriod = 2 * kMinute;
+
+}  // namespace
+
 ProteusRuntime::ProteusRuntime(MLApp* app, const InstanceTypeCatalog* catalog,
                                const TraceStore* traces, const EvictionModel* estimator,
                                ProteusConfig config, SimTime start)
@@ -324,9 +331,9 @@ void ProteusRuntime::HandleEviction(TrackedAllocation& tracked, bool warned) {
 }
 
 void ProteusRuntime::ProcessMarketEventsUntil(SimTime until) {
-  // Warning polls happen every warning_poll seconds; with sub-minute
-  // training clocks, checking once per event window is equivalent to the
-  // paper's 5-second poll — warnings give two minutes of slack.
+  // The paper's elasticity controller polls for warnings every 5 seconds
+  // (§3.3); with sub-minute training clocks, checking once per event
+  // window is equivalent — warnings give two minutes of slack.
   for (auto it = live_.begin(); it != live_.end();) {
     TrackedAllocation& tracked = it->second;
     const Allocation& alloc = market_.Get(tracked.id);
@@ -338,7 +345,7 @@ void ProteusRuntime::ProcessMarketEventsUntil(SimTime until) {
       RecordAllocEvent("terminated", tracked);
       erase = true;
     } else if (alloc.running() && alloc.eviction_time.has_value()) {
-      const SimTime warning = std::max(alloc.start, *alloc.eviction_time - kEvictionWarning);
+      const SimTime warning = *market_.WarningTime(tracked.id);
       if (!tracked.warned && warning <= until &&
           rng_.Bernoulli(1.0 - config_.effective_failure_fraction)) {
         // Warning observed at the next poll: graceful scale-down now.
@@ -380,7 +387,7 @@ void ProteusRuntime::ProcessMarketEventsUntil(SimTime until) {
 void ProteusRuntime::Step() {
   if (now_ >= next_decision_) {
     RunDecisionPoint();
-    next_decision_ = now_ + config_.decision_period;
+    next_decision_ = now_ + kDecisionPeriod;
   }
   const int lost_before = agileml_->lost_clocks_total();
   const IterationReport report = agileml_->RunClock();

@@ -40,9 +40,6 @@ struct ProteusConfig {
   int on_demand_count = 3;
   std::string on_demand_type = "c4.xlarge";
   std::string on_demand_zone;  // Defaults to the first zone in the traces.
-  // Elasticity controller's warning-poll period (§3.3).
-  SimDuration warning_poll = 5 * kSecond;
-  SimDuration decision_period = 2 * kMinute;
   // Fraction of evictions whose 2-minute warning is missed, turning the
   // eviction into an effective failure handled by rollback (§3.3).
   double effective_failure_fraction = 0.0;

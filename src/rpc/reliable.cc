@@ -8,16 +8,28 @@
 
 namespace proteus {
 
+namespace {
+
+// Retransmission timeout schedule (virtual seconds): attempt k waits
+// kInitialRto * kBackoff^(k-1), capped at kMaxRto, then scaled by a
+// seeded jitter factor uniform in [1 - kJitter, 1 + kJitter].
+constexpr double kInitialRto = 0.05;
+constexpr double kMaxRto = 2.0;
+constexpr double kBackoff = 2.0;
+constexpr double kJitter = 0.1;
+static_assert(kInitialRto > 0.0 && kMaxRto >= kInitialRto && kBackoff >= 1.0);
+static_assert(kJitter >= 0.0 && kJitter < 1.0);
+// Cap on selective-ack entries per ack frame.
+constexpr int kMaxSacks = 16;
+static_assert(kMaxSacks >= 0);
+
+}  // namespace
+
 ReliableChannel::ReliableChannel(Channel* data, Channel* ack, ReliableChannelConfig config)
     : data_(data), ack_(ack), config_(config), rng_(config.seed) {
   PROTEUS_CHECK(data_ != nullptr);
   PROTEUS_CHECK(ack_ != nullptr);
   PROTEUS_CHECK_GE(config_.window, 1);
-  PROTEUS_CHECK_GT(config_.initial_rto, 0.0);
-  PROTEUS_CHECK_GE(config_.max_rto, config_.initial_rto);
-  PROTEUS_CHECK_GE(config_.backoff, 1.0);
-  PROTEUS_CHECK(config_.jitter >= 0.0 && config_.jitter < 1.0);
-  PROTEUS_CHECK_GE(config_.max_sacks, 0);
   BindMetrics();
 }
 
@@ -47,12 +59,12 @@ void ReliableChannel::RefillWindow(double now) {
 }
 
 double ReliableChannel::NextTimeout(int attempts) {
-  double rto = config_.initial_rto * std::pow(config_.backoff, attempts - 1);
-  rto = std::min(rto, config_.max_rto);
+  double rto = kInitialRto * std::pow(kBackoff, attempts - 1);
+  rto = std::min(rto, kMaxRto);
   // Seeded jitter keeps simultaneous sessions from retransmitting in
   // lockstep while staying replayable: the draw order is a pure
   // function of the (seeded) event sequence.
-  return rto * rng_.Uniform(1.0 - config_.jitter, 1.0 + config_.jitter);
+  return rto * rng_.Uniform(1.0 - kJitter, 1.0 + kJitter);
 }
 
 void ReliableChannel::SendDataFrame(std::uint64_t seq, const InFlight& entry) {
@@ -69,7 +81,7 @@ void ReliableChannel::SendAckFrame() {
   frame.seq = 0;  // Pure ack.
   frame.cum_ack = received_up_to_;
   for (const auto& [seq, payload] : out_of_order_) {
-    if (static_cast<int>(frame.sacks.size()) >= config_.max_sacks) {
+    if (static_cast<int>(frame.sacks.size()) >= kMaxSacks) {
       break;
     }
     frame.sacks.push_back(seq);

@@ -44,15 +44,6 @@ struct ReliableChannelConfig {
   // Max unacked data frames in flight; further Send()s queue in the
   // backlog until acks open the window.
   int window = 32;
-  // Retransmission timeout schedule (virtual seconds): attempt k waits
-  // initial_rto * backoff^(k-1), capped at max_rto, then scaled by a
-  // seeded jitter factor uniform in [1 - jitter, 1 + jitter].
-  double initial_rto = 0.05;
-  double max_rto = 2.0;
-  double backoff = 2.0;
-  double jitter = 0.1;
-  // Cap on selective-ack entries per ack frame.
-  int max_sacks = 16;
   std::uint64_t seed = 1;
 };
 

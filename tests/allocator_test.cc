@@ -237,13 +237,6 @@ TEST(FairnessTest, JainIndexBounds) {
   EXPECT_LT(mixed, 1.0);
 }
 
-TEST(FairnessTest, WelfareMeasures) {
-  EXPECT_DOUBLE_EQ(UtilitarianWelfare({1.0, 2.0, 3.0}), 6.0);
-  // Nash welfare prefers the spread allocation at equal totals.
-  EXPECT_GT(NashWelfare({3.0, 3.0}), NashWelfare({6.0, 0.0}));
-  EXPECT_DOUBLE_EQ(NashWelfare({}), 0.0);
-}
-
 }  // namespace
 }  // namespace cluster
 }  // namespace proteus

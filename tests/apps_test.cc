@@ -318,7 +318,7 @@ class ScalarLdaOracle : public MLApp {
 
   void ProcessRange(WorkerContext& ctx, std::int64_t begin, std::int64_t end) override {
     const int topics = config_.topics;
-    const double alpha = config_.alpha;
+    const double alpha = LdaApp::kAlpha;
     const double beta = config_.beta;
     const double vbeta = static_cast<double>(data_->config.vocab) * beta;
     std::unordered_map<std::int32_t, std::vector<float>> word_cache;
@@ -386,9 +386,9 @@ class ScalarLdaOracle : public MLApp {
   }
 
   double ComputeObjective(const ModelStore& model) const override {
-    const std::int64_t sample = std::min(config_.objective_sample_docs, data_->num_docs());
+    const std::int64_t sample = std::min(LdaApp::kObjectiveSampleDocs, data_->num_docs());
     const int topics = config_.topics;
-    const double alpha = config_.alpha;
+    const double alpha = LdaApp::kAlpha;
     const double beta = config_.beta;
     const double vbeta = static_cast<double>(data_->config.vocab) * beta;
     std::vector<float> totals;

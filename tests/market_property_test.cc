@@ -109,8 +109,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MarketPropertyTest, ::testing::Range(1, 7));
 PriceSeries FullScanTrace(const InstanceType& type, SimDuration duration,
                           const SyntheticTraceConfig& config, Rng& rng) {
   const Money od = type.on_demand_price;
-  const double log_base = std::log(od * config.base_fraction);
-  const Money floor = od * config.floor_fraction;
+  const double log_base = std::log(od * kTraceBaseFraction);
+  const Money floor = od * kTraceFloorFraction;
   struct Spike {
     SimTime start;
     SimTime end;
@@ -124,8 +124,8 @@ PriceSeries FullScanTrace(const InstanceType& type, SimDuration duration,
     if (t >= duration) {
       break;
     }
-    const double log_min = std::log(config.spike_multiple_min);
-    const double log_max = std::log(config.spike_multiple_max);
+    const double log_min = std::log(kSpikeMultipleMin);
+    const double log_max = std::log(kSpikeMultipleMax);
     const double multiple = std::exp(rng.Uniform(log_min, log_max));
     const SimDuration len = std::max(config.step, rng.ExponentialMean(config.spike_duration_mean));
     spikes.push_back({t, t + len, od * multiple});
@@ -134,7 +134,7 @@ PriceSeries FullScanTrace(const InstanceType& type, SimDuration duration,
   double log_price = log_base;
   Money last_emitted = -1.0;
   for (SimTime now = 0.0; now < duration; now += config.step) {
-    log_price += config.reversion * (log_base - log_price) + rng.Normal(0.0, config.volatility);
+    log_price += kTraceReversion * (log_base - log_price) + rng.Normal(0.0, kTraceVolatility);
     Money price = std::exp(log_price);
     for (const Spike& spike : spikes) {
       if (now >= spike.start && now < spike.end) {

@@ -46,22 +46,15 @@ TEST_F(PreemptibleTest, HazardDrawsAreFiniteAndVaried) {
   EXPECT_LT(total / 50, 12 * kHour);
 }
 
-TEST_F(PreemptibleTest, ThirtySecondWarning) {
-  PreemptibleMarket market = Make();
-  const AllocationId id = market.Request("c4.xlarge", 1, 0.0);
-  EXPECT_NEAR(market.WarningTime(id), market.Get(id).revocation_time - 30.0, 1e-9);
-}
-
-TEST_F(PreemptibleTest, WarningClampedToAllocationStart) {
-  // A lifetime shorter than the warning window cannot warn before the
-  // allocation exists: the warning instant clamps to the start.
+TEST_F(PreemptibleTest, ShortMaxLifetimeCapsRevocation) {
+  // With the hazard effectively off, a 20-second lifetime cap puts the
+  // revocation exactly 20 seconds after the request.
   PreemptibleConfig config;
   config.revocations_per_hour = 1e-9;
-  config.max_lifetime = 20 * kSecond;  // Under the 30s warning.
+  config.max_lifetime = 20 * kSecond;
   PreemptibleMarket market = Make(config);
   const AllocationId id = market.Request("c4.xlarge", 1, 500.0);
   EXPECT_DOUBLE_EQ(market.Get(id).revocation_time, 520.0);
-  EXPECT_DOUBLE_EQ(market.WarningTime(id), 500.0);
 }
 
 TEST_F(PreemptibleTest, RevocationInsideWarningWindowStillBillsMinimum) {

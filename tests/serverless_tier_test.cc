@@ -38,7 +38,7 @@ TEST(ServerlessTierTest, BurstCapEndsEvenUndisturbedAllocations) {
 
 TEST(ServerlessTierTest, PerSecondBillingNoMinimumCharge) {
   ServerlessTier tier(Quiet());
-  const Money rate = tier.config().rate_per_slot_hour;
+  const Money rate = kServerlessRatePerSlotHour;
   // 90.5 seconds of use rounds up to 91 billed seconds.
   const auto a = tier.Request(2, 0.0);
   ASSERT_TRUE(a.has_value());
@@ -61,7 +61,7 @@ TEST(ServerlessTierTest, NoRefundOnRevocation) {
   // The full 600 seconds that ran are billed; nothing is credited back
   // for the provider-side reclaim.
   EXPECT_NEAR(tier.Bill(*id, kDay),
-              tier.config().rate_per_slot_hour * (600.0 / 3600.0), 1e-12);
+              kServerlessRatePerSlotHour * (600.0 / 3600.0), 1e-12);
 }
 
 TEST(ServerlessTierTest, TerminateAfterRevocationBecomesRevocation) {
@@ -87,7 +87,7 @@ TEST(ServerlessTierTest, UserTerminationClearsTheCause) {
   EXPECT_EQ(alloc.revocation_cause, ServerlessRevocationCause::kNone);
   // Billing stops at the termination instant even when queried later.
   EXPECT_NEAR(tier.Bill(*id, kDay),
-              tier.config().rate_per_slot_hour * 3 * (300.0 / 3600.0), 1e-12);
+              kServerlessRatePerSlotHour * 3 * (300.0 / 3600.0), 1e-12);
 }
 
 TEST(ServerlessTierTest, RequestDeclinedWhenPoolSqueezed) {

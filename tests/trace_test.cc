@@ -14,8 +14,8 @@ TEST(TraceGen, StaysAboveFloorAndBelowCap) {
   const PriceSeries series = GenerateSyntheticTrace(type, 7 * kDay, config, rng);
   ASSERT_FALSE(series.empty());
   for (const auto& point : series.points()) {
-    EXPECT_GE(point.price, type.on_demand_price * config.floor_fraction - 1e-9);
-    EXPECT_LE(point.price, type.on_demand_price * config.spike_multiple_max + 0.5);
+    EXPECT_GE(point.price, type.on_demand_price * kTraceFloorFraction - 1e-9);
+    EXPECT_LE(point.price, type.on_demand_price * kSpikeMultipleMax + 0.5);
   }
 }
 
@@ -27,8 +27,8 @@ TEST(TraceGen, QuietRegimeNearBaseFraction) {
   Rng rng(12);
   const PriceSeries series = GenerateSyntheticTrace(type, 7 * kDay, config, rng);
   const Money avg = series.AveragePrice(0.0, 7 * kDay);
-  EXPECT_NEAR(avg, type.on_demand_price * config.base_fraction,
-              type.on_demand_price * config.base_fraction * 0.5);
+  EXPECT_NEAR(avg, type.on_demand_price * kTraceBaseFraction,
+              type.on_demand_price * kTraceBaseFraction * 0.5);
 }
 
 TEST(TraceGen, SpikesExceedOnDemand) {
