@@ -110,9 +110,8 @@ BENCHMARK(BM_ApplySerialize);
 
 // --- Durable checkpoint path: serialize the model, push it
 // through the two-phase CheckpointStore commit, and restore it back.
-// Bytes/sec is the headline; the store-write bench forces full
-// (non-incremental) epochs so it measures frame+CRC+manifest cost, not
-// the reuse fast path.
+// Bytes/sec is the headline; the store-write bench measures
+// frame+CRC+manifest cost.
 
 void PopulateStore(ModelStore& store) {
   const std::vector<float> delta(kHotCols, 0.5F);
@@ -137,16 +136,15 @@ BENCHMARK(BM_CheckpointSerialize);
 void BM_CheckpointStoreWrite(benchmark::State& state) {
   ModelStore store = MakeHotStore();
   PopulateStore(store);
-  const std::vector<std::vector<std::uint8_t>> blobs = {store.SerializeCheckpoint()};
-  const std::vector<std::uint64_t> force_full = {0};
+  const std::vector<std::uint8_t> blob = store.SerializeCheckpoint();
   MemDurableDevice device;
   CheckpointStore ck(&device);
   Clock clock = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ck.WriteBlobs(blobs, force_full, ++clock).committed);
+    benchmark::DoNotOptimize(ck.Write(blob, ++clock).committed);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(blobs[0].size()));
+                          static_cast<std::int64_t>(blob.size()));
 }
 BENCHMARK(BM_CheckpointStoreWrite);
 
@@ -155,10 +153,10 @@ void BM_CheckpointRestore(benchmark::State& state) {
   PopulateStore(store);
   MemDurableDevice device;
   CheckpointStore ck(&device);
-  const CheckpointWriteResult written = ck.WriteCheckpoint(store, 1);
+  const CheckpointWriteResult written = ck.Write(store.SerializeCheckpoint(), 1);
   for (auto _ : state) {
     const auto loaded = ck.ReadNewestValid();
-    store.RestoreCheckpoint(loaded->Payload());
+    store.RestoreCheckpoint(loaded->payload);
     benchmark::DoNotOptimize(loaded->bytes_read);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -376,15 +374,13 @@ std::vector<bench::BenchJsonRow> RunJsonBenches() {
   {
     ModelStore store = MakeHotStore();
     PopulateStore(store);
-    const std::vector<std::vector<std::uint8_t>> blobs = {store.SerializeCheckpoint()};
-    const double bytes = static_cast<double>(blobs[0].size());
-    const std::vector<std::uint64_t> force_full = {0};
+    const std::vector<std::uint8_t> blob = store.SerializeCheckpoint();
+    const double bytes = static_cast<double>(blob.size());
     MemDurableDevice device;
     CheckpointStore ck(&device);
     Clock clock = 0;
-    const double spi = SecondsPerIter([&] {
-      benchmark::DoNotOptimize(ck.WriteBlobs(blobs, force_full, ++clock).committed);
-    });
+    const double spi =
+        SecondsPerIter([&] { benchmark::DoNotOptimize(ck.Write(blob, ++clock).committed); });
     rows.push_back({"checkpoint_store_write", "mb_per_sec", bytes / spi / 1e6, "MB/s"});
   }
   {
@@ -392,11 +388,11 @@ std::vector<bench::BenchJsonRow> RunJsonBenches() {
     PopulateStore(store);
     MemDurableDevice device;
     CheckpointStore ck(&device);
-    const CheckpointWriteResult written = ck.WriteCheckpoint(store, 1);
+    const CheckpointWriteResult written = ck.Write(store.SerializeCheckpoint(), 1);
     const double bytes = static_cast<double>(written.bytes_written);
     const double spi = SecondsPerIter([&] {
       const auto loaded = ck.ReadNewestValid();
-      store.RestoreCheckpoint(loaded->Payload());
+      store.RestoreCheckpoint(loaded->payload);
       benchmark::DoNotOptimize(loaded->bytes_read);
     });
     rows.push_back({"checkpoint_restore", "mb_per_sec", bytes / spi / 1e6, "MB/s"});

@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/agileml/recovery_manager.h"
@@ -103,7 +104,7 @@ int main() {
   {
     FileDurableDevice device(ckpt_dir);
     CheckpointStore store(&device);
-    const auto loaded = store.ReadNewestValid();
+    auto loaded = store.ReadNewestValid();
     if (!loaded.has_value()) {
       std::printf("no restorable epoch found\n");
       return 1;
@@ -114,7 +115,7 @@ int main() {
                 static_cast<long long>(loaded->clock), loaded->corrupt_epochs_skipped);
 
     AgileMLRuntime runtime(&app, MakeConfig(), MakeNodes());
-    runtime.InstallCheckpoint(loaded->Payload(), loaded->clock);
+    runtime.InstallCheckpoint(std::move(loaded->payload), loaded->clock);
     runtime.RestoreFromCheckpoint();
     RecoveryManager recovery(&runtime, &store, RecoveryManagerConfig{4, 0});
     recovery.ForceCheckpoint();  // Re-arm before training resumes.

@@ -136,7 +136,7 @@ ChaosStack::RestartReport ChaosStack::Restart() {
   store_.reset();
 
   store_ = std::make_unique<CheckpointStore>(&device_, CheckpointStoreConfig{durable_retain_});
-  const auto loaded = store_->ReadNewestValid();
+  auto loaded = store_->ReadNewestValid();
   PROTEUS_CHECK(loaded.has_value()) << "no valid durable epoch to restart from";
   RestartReport report;
   report.epoch = loaded->epoch;
@@ -146,7 +146,7 @@ ChaosStack::RestartReport ChaosStack::Restart() {
   report.scrub_corruptions_found = store_->Scrub().corrupt_objects.size();
 
   BuildRuntime();
-  runtime_->InstallCheckpoint(loaded->Payload(), loaded->clock);
+  runtime_->InstallCheckpoint(std::move(loaded->payload), loaded->clock);
   runtime_->RestoreFromCheckpoint();
   recovery_->ForceCheckpoint();
   return report;

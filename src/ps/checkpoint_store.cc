@@ -16,13 +16,11 @@ namespace {
 
 constexpr std::uint32_t kChunkMagic = 0x314B4350u;     // 'PCK1' little-endian.
 constexpr std::uint32_t kManifestMagic = 0x31464D50u;  // 'PMF1'.
-constexpr std::uint8_t kFormatVersion = 1;
-constexpr std::uint64_t kMaxShards = 1u << 16;
+constexpr std::uint8_t kFormatVersion = 2;
 
-std::string ChunkName(int shard, std::uint64_t version) {
+std::string ChunkName(std::uint64_t epoch) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "ck/obj/s%04d-v%020llu", shard,
-                static_cast<unsigned long long>(version));
+  std::snprintf(buf, sizeof(buf), "ck/obj/e%010llu", static_cast<unsigned long long>(epoch));
   return buf;
 }
 
@@ -70,18 +68,11 @@ bool TrailerValid(std::span<const std::uint8_t> bytes) {
   return Crc32(body) == stored;
 }
 
-struct ManifestEntry {
-  int shard = 0;
-  std::uint64_t shard_version = 0;
-  std::string chunk_name;
-  std::uint64_t chunk_bytes = 0;
-  std::uint32_t chunk_crc = 0;
-};
-
 struct ParsedManifest {
   std::uint64_t epoch = 0;
   Clock clock = 0;
-  std::vector<ManifestEntry> entries;
+  std::uint64_t chunk_bytes = 0;
+  std::uint32_t chunk_crc = 0;
 };
 
 std::optional<ParsedManifest> ParseManifestFrame(std::span<const std::uint8_t> bytes) {
@@ -91,43 +82,20 @@ std::optional<ParsedManifest> ParseManifestFrame(std::span<const std::uint8_t> b
   const auto version = reader.U8();
   if (!magic || *magic != kManifestMagic) return std::nullopt;
   if (!version || *version != kFormatVersion) return std::nullopt;
-  ParsedManifest manifest;
   const auto epoch = reader.VarU64();
   const auto clock = reader.VarU64();
-  const auto count = reader.VarU64();
-  if (!epoch || !clock || !count) return std::nullopt;
-  if (*count == 0 || *count > kMaxShards) return std::nullopt;
-  manifest.epoch = *epoch;
-  manifest.clock = static_cast<Clock>(*clock);
-  manifest.entries.reserve(*count);
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    ManifestEntry entry;
-    const auto shard = reader.VarU64();
-    const auto shard_version = reader.VarU64();
-    const auto name = reader.Str();
-    const auto chunk_bytes = reader.VarU64();
-    const auto chunk_crc = reader.U32();
-    if (!shard || !shard_version || !name || !chunk_bytes || !chunk_crc) return std::nullopt;
-    if (*shard >= kMaxShards) return std::nullopt;
-    entry.shard = static_cast<int>(*shard);
-    entry.shard_version = *shard_version;
-    entry.chunk_name = *name;
-    entry.chunk_bytes = *chunk_bytes;
-    entry.chunk_crc = *chunk_crc;
-    manifest.entries.push_back(std::move(entry));
-  }
+  const auto chunk_bytes = reader.VarU64();
+  const auto chunk_crc = reader.U32();
+  if (!epoch || !clock || !chunk_bytes || !chunk_crc) return std::nullopt;
   if (!reader.AtEnd()) return std::nullopt;
-  return manifest;
+  return ParsedManifest{*epoch, static_cast<Clock>(*clock), *chunk_bytes, *chunk_crc};
 }
 
-std::vector<std::uint8_t> EncodeChunkFrame(int shard, std::uint64_t shard_version, Clock clock,
-                                           std::span<const std::uint8_t> payload) {
+std::vector<std::uint8_t> EncodeChunkFrame(Clock clock, std::span<const std::uint8_t> payload) {
   WireWriter writer;
   writer.Reserve(payload.size() + 32);
   writer.U32(kChunkMagic);
   writer.U8(kFormatVersion);
-  writer.VarU64(static_cast<std::uint64_t>(shard));
-  writer.VarU64(shard_version);
   writer.VarU64(static_cast<std::uint64_t>(clock));
   writer.Blob(payload);
   writer.U32(Crc32(writer.bytes()));
@@ -140,50 +108,30 @@ std::vector<std::uint8_t> EncodeManifestFrame(const ParsedManifest& manifest) {
   writer.U8(kFormatVersion);
   writer.VarU64(manifest.epoch);
   writer.VarU64(static_cast<std::uint64_t>(manifest.clock));
-  writer.VarU64(manifest.entries.size());
-  for (const ManifestEntry& entry : manifest.entries) {
-    writer.VarU64(static_cast<std::uint64_t>(entry.shard));
-    writer.VarU64(entry.shard_version);
-    writer.Str(entry.chunk_name);
-    writer.VarU64(entry.chunk_bytes);
-    writer.U32(entry.chunk_crc);
-  }
+  writer.VarU64(manifest.chunk_bytes);
+  writer.U32(manifest.chunk_crc);
   writer.U32(Crc32(writer.bytes()));
   return writer.Take();
 }
 
-// Full validation of one committed epoch: manifest frame, then every
-// referenced chunk's existence, size, object CRC, and frame contents.
-// On success fills `out` (if non-null) with the shard payloads.
+// Full validation of one committed epoch: manifest frame, then its
+// chunk's existence, size, object CRC, and frame contents. On success
+// fills `out` (if non-null) with the payload.
 bool ValidateEpoch(const DurableDevice& device, const ParsedManifest& manifest,
                    LoadedCheckpoint* out) {
-  std::vector<std::vector<std::uint8_t>> blobs(manifest.entries.size());
-  std::vector<bool> seen(manifest.entries.size(), false);
-  std::uint64_t bytes_read = 0;
-  for (const ManifestEntry& entry : manifest.entries) {
-    if (entry.shard < 0 || static_cast<std::size_t>(entry.shard) >= manifest.entries.size() ||
-        seen[static_cast<std::size_t>(entry.shard)]) {
-      return false;  // Shards must be exactly 0..N-1, once each.
-    }
-    const auto object = device.Read(entry.chunk_name);
-    if (!object) return false;
-    if (object->size() != entry.chunk_bytes) return false;
-    if (Crc32(*object) != entry.chunk_crc) return false;
-    auto chunk = ParseChunkFrame(*object);
-    if (!chunk) return false;
-    if (chunk->shard != entry.shard || chunk->shard_version != entry.shard_version) return false;
-    // A reused chunk was written at an earlier clock; it must never be
-    // from the future relative to its manifest.
-    if (chunk->clock > manifest.clock) return false;
-    bytes_read += object->size();
-    seen[static_cast<std::size_t>(entry.shard)] = true;
-    blobs[static_cast<std::size_t>(entry.shard)] = std::move(chunk->payload);
-  }
+  const auto object = device.Read(ChunkName(manifest.epoch));
+  if (!object) return false;
+  if (object->size() != manifest.chunk_bytes) return false;
+  if (Crc32(*object) != manifest.chunk_crc) return false;
+  auto chunk = ParseChunkFrame(*object);
+  if (!chunk) return false;
+  // The chunk is written with its manifest, at the same clock.
+  if (chunk->clock != manifest.clock) return false;
   if (out != nullptr) {
     out->epoch = manifest.epoch;
     out->clock = manifest.clock;
-    out->shard_blobs = std::move(blobs);
-    out->bytes_read = bytes_read;
+    out->payload = std::move(chunk->payload);
+    out->bytes_read = object->size();
   }
   return true;
 }
@@ -197,19 +145,11 @@ std::optional<ParsedChunk> ParseChunkFrame(std::span<const std::uint8_t> bytes) 
   const auto version = reader.U8();
   if (!magic || *magic != kChunkMagic) return std::nullopt;
   if (!version || *version != kFormatVersion) return std::nullopt;
-  const auto shard = reader.VarU64();
-  const auto shard_version = reader.VarU64();
   const auto clock = reader.VarU64();
   auto payload = reader.Blob();
-  if (!shard || !shard_version || !clock || !payload) return std::nullopt;
-  if (*shard >= kMaxShards) return std::nullopt;
+  if (!clock || !payload) return std::nullopt;
   if (!reader.AtEnd()) return std::nullopt;
-  ParsedChunk chunk;
-  chunk.shard = static_cast<int>(*shard);
-  chunk.shard_version = *shard_version;
-  chunk.clock = static_cast<Clock>(*clock);
-  chunk.payload = std::move(*payload);
-  return chunk;
+  return ParsedChunk{static_cast<Clock>(*clock), std::move(*payload)};
 }
 
 // --- MemDurableDevice ---
@@ -355,16 +295,6 @@ CheckpointStore::CheckpointStore(DurableDevice* device, CheckpointStoreConfig co
     next_epoch_ = std::max(next_epoch_, *epoch + 1);
     if (!is_tmp) last_committed_epoch_ = std::max(last_committed_epoch_, *epoch);
   }
-  if (last_committed_epoch_ != 0) {
-    const auto bytes = device_->Read(ManifestName(last_committed_epoch_));
-    if (bytes) {
-      if (const auto manifest = ParseManifestFrame(*bytes)) {
-        for (const ManifestEntry& entry : manifest->entries) {
-          committed_versions_[entry.shard] = entry.shard_version;
-        }
-      }
-    }
-  }
   BindMetrics();
 }
 
@@ -376,89 +306,31 @@ void CheckpointStore::SetObservability(obs::MetricsRegistry* metrics) {
 void CheckpointStore::BindMetrics() {
   bytes_written_counter_ = obs_.GetCounter("checkpoint.bytes_written");
   bytes_restored_counter_ = obs_.GetCounter("checkpoint.bytes_restored");
-  chunks_written_counter_ = obs_.GetCounter("checkpoint.chunks_written");
-  chunks_reused_counter_ = obs_.GetCounter("checkpoint.chunks_reused");
   epochs_committed_counter_ = obs_.GetCounter("checkpoint.epochs_committed");
   commit_aborts_counter_ = obs_.GetCounter("checkpoint.commit_aborts");
   corrupt_epochs_counter_ = obs_.GetCounter("checkpoint.corrupt_epochs_skipped");
   scrub_corrupt_counter_ = obs_.GetCounter("checkpoint.scrub_corruptions_found");
 }
 
-CheckpointWriteResult CheckpointStore::WriteCheckpoint(const ModelStore& model, Clock clock) {
-  // Capture the version *before* serializing: if a concurrent mutation
-  // races the snapshot, the pessimistic order at worst rewrites an
-  // unchanged model next epoch, never reuses a stale one.
-  const std::uint64_t version = model.Version();
-  return WriteInternal({model.SerializeCheckpoint()}, {version}, clock);
-}
-
-CheckpointWriteResult CheckpointStore::WriteBlobs(
-    const std::vector<std::vector<std::uint8_t>>& blobs,
-    const std::vector<std::uint64_t>& shard_versions, Clock clock) {
-  PROTEUS_CHECK(blobs.size() == shard_versions.size());
-  return WriteInternal(blobs, shard_versions, clock);
-}
-
-CheckpointWriteResult CheckpointStore::WriteInternal(
-    const std::vector<std::vector<std::uint8_t>>& blobs,
-    const std::vector<std::uint64_t>& shard_versions, Clock clock) {
-  PROTEUS_CHECK(!blobs.empty());
+CheckpointWriteResult CheckpointStore::Write(std::span<const std::uint8_t> blob, Clock clock) {
   CheckpointWriteResult result;
   result.epoch = next_epoch_++;
   result.clock = clock;
 
-  ParsedManifest manifest;
-  manifest.epoch = result.epoch;
-  manifest.clock = clock;
-  bool aborted = false;
-  for (std::size_t s = 0; s < blobs.size(); ++s) {
-    const int shard = static_cast<int>(s);
-    const std::uint64_t version = shard_versions[s];
-    const std::string name = ChunkName(shard, version);
-    const auto committed = committed_versions_.find(shard);
-    // Reuse requires the stored chunk to still self-validate: bit rot on
-    // a shared chunk would otherwise propagate into every future epoch
-    // that references it. A corrupt chunk is simply rewritten, so the
-    // next committed epoch self-heals the store.
-    std::optional<std::vector<std::uint8_t>> existing;
-    if (committed != committed_versions_.end() && committed->second == version) {
-      existing = device_->Read(name);
-      if (existing && !ParseChunkFrame(*existing)) {
-        existing.reset();
-      }
-    }
-    std::uint64_t chunk_bytes = 0;
-    std::uint32_t chunk_crc = 0;
-    if (existing) {
-      chunk_bytes = existing->size();
-      chunk_crc = Crc32(*existing);
-      ++result.chunks_reused;
-    } else {
-      const std::vector<std::uint8_t> frame = EncodeChunkFrame(shard, version, clock, blobs[s]);
-      if (!device_->Write(name, frame)) {
-        // The store survived the device fault, so it rolls the aborted
-        // epoch back: the torn chunk must not shadow a future write.
-        device_->Delete(name);
-        aborted = true;
-        break;
-      }
-      chunk_bytes = frame.size();
-      chunk_crc = Crc32(frame);
-      result.bytes_written += frame.size();
-      ++result.chunks_written;
-    }
-    manifest.entries.push_back(
-        {shard, version, name, chunk_bytes, chunk_crc});
-  }
-
-  if (!aborted) {
-    const std::vector<std::uint8_t> frame = EncodeManifestFrame(manifest);
-    if (!device_->Write(TempManifestName(result.epoch), frame)) {
-      aborted = true;
-    } else if (!device_->Rename(TempManifestName(result.epoch), ManifestName(result.epoch))) {
-      aborted = true;  // Crash between phase 1 and the commit point.
-    } else {
-      result.bytes_written += frame.size();
+  const std::string chunk_name = ChunkName(result.epoch);
+  const std::vector<std::uint8_t> chunk = EncodeChunkFrame(clock, blob);
+  if (!device_->Write(chunk_name, chunk)) {
+    // The store survived the device fault, so it rolls the aborted
+    // epoch back: a torn chunk left behind would read as corruption.
+    device_->Delete(chunk_name);
+  } else {
+    result.bytes_written += chunk.size();
+    const std::vector<std::uint8_t> manifest =
+        EncodeManifestFrame({result.epoch, clock, chunk.size(), Crc32(chunk)});
+    // A failed rename is a crash between phase 1 and the commit point.
+    if (device_->Write(TempManifestName(result.epoch), manifest) &&
+        device_->Rename(TempManifestName(result.epoch), ManifestName(result.epoch))) {
+      result.bytes_written += manifest.size();
       result.committed = true;
     }
   }
@@ -466,27 +338,14 @@ CheckpointWriteResult CheckpointStore::WriteInternal(
   if (result.committed) {
     last_committed_epoch_ = result.epoch;
     ++epochs_committed_;
-    for (const ManifestEntry& entry : manifest.entries) {
-      committed_versions_[entry.shard] = entry.shard_version;
-    }
     CollectGarbage();
     bytes_written_counter_->Add(result.bytes_written);
-    chunks_written_counter_->Add(static_cast<std::uint64_t>(result.chunks_written));
-    chunks_reused_counter_->Add(static_cast<std::uint64_t>(result.chunks_reused));
     epochs_committed_counter_->Increment();
   } else {
     ++commit_aborts_;
     commit_aborts_counter_->Increment();
   }
   return result;
-}
-
-std::vector<std::uint8_t> LoadedCheckpoint::Payload() const {
-  std::vector<std::uint8_t> payload;
-  for (const auto& blob : shard_blobs) {
-    payload.insert(payload.end(), blob.begin(), blob.end());
-  }
-  return payload;
 }
 
 std::optional<LoadedCheckpoint> CheckpointStore::ReadNewestValid() const {
@@ -609,9 +468,7 @@ void CheckpointStore::CollectGarbage() {
     }
     const auto bytes = device_->Read(ManifestName(epoch));
     const auto manifest = bytes ? ParseManifestFrame(*bytes) : std::nullopt;
-    if (manifest) {
-      for (const ManifestEntry& entry : manifest->entries) referenced.insert(entry.chunk_name);
-    }
+    if (manifest) referenced.insert(ChunkName(manifest->epoch));
   }
   for (const auto& [epoch, name] : tmp_files) {
     if (epoch < last_committed_epoch_) device_->Delete(name);

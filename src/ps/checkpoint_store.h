@@ -3,53 +3,50 @@
 // The in-memory checkpoints AgileML keeps on reliable nodes die with
 // those nodes; when a correlated spot-market crash takes every transient
 // node *and* the reliable tier, the only recovery source left is a
-// snapshot on durable storage. CheckpointStore is that layer: versioned
-// epochs of CRC32-framed chunks under an atomically-committed
+// snapshot on durable storage. CheckpointStore is that layer: numbered
+// epochs, each one CRC32-framed chunk under an atomically-committed
 // manifest, written to a pluggable DurableDevice that is allowed to be
 // hostile (torn writes, bit rot, truncation, lost commits).
 //
 // Object layout on the device
 //
-//   ck/obj/s<shard>-v<version>      one chunk: framed shard blob
+//   ck/obj/e<epoch10>               one chunk: the epoch's framed model blob
 //   ck/ep/<epoch10>/MANIFEST        committed epoch manifest
 //   ck/ep/<epoch10>/MANIFEST.tmp    phase-1 of the manifest commit
 //
 // Chunk frame (all multi-byte scalars via the rpc wire format):
 //
 //   u32   magic 'PCK1'
-//   u8    format version (1)
-//   var   shard index
-//   var   shard version (ModelStore::Version at serialize time)
+//   u8    format version (2)
 //   var   checkpoint clock
-//   blob  payload (WriteCheckpoint: ModelStore::SerializeCheckpoint)
+//   blob  payload (a canonical ModelStore::SerializeCheckpoint blob)
 //   u32   CRC-32 of every preceding byte
 //
 // Manifest frame:
 //
 //   u32   magic 'PMF1'
-//   u8    format version (1)
+//   u8    format version (2)
 //   var   epoch
 //   var   clock
-//   var   shard count N
-//   N x { var shard, var shard_version, str chunk_name,
-//         var chunk_bytes, u32 chunk_crc }
+//   var   chunk_bytes
+//   u32   chunk_crc
 //   u32   CRC-32 of every preceding byte
 //
 // chunk_crc is the CRC-32 of the *entire chunk object*, so a reader can
 // reject a swapped or stale chunk without parsing it.
 //
-// Commit protocol (two-phase): write every new chunk, write
+// Commit protocol (two-phase): write the epoch's chunk, write
 // MANIFEST.tmp, then Rename() it to MANIFEST. The rename is the commit
 // point — a crash before it leaves a torn epoch that readers skip
-// because no committed manifest exists. Writes are incremental: a shard
-// whose version is unchanged since the last committed epoch reuses its
-// chunk by name instead of rewriting the bytes. WriteCheckpoint writes
-// the whole model as shard 0; WriteBlobs accepts any number of shards.
+// because no committed manifest exists. Every epoch is self-contained:
+// its one chunk is written at its own clock and no other epoch refers
+// to it, so nothing but the epoch cursor carries over from one epoch,
+// or one store instance over the same device, to the next.
 //
 // Validation is paranoid by design: ReadNewestValid() walks epochs
 // newest-first and accepts the first one whose manifest parses, whose
-// CRC matches, whose every chunk exists with the manifest's size and
-// CRC, and whose frames all self-validate. Anything less is skipped and
+// CRC matches, whose chunk exists with the manifest's size and CRC,
+// and whose frames both self-validate. Anything less is skipped and
 // counted, never loaded. Scrub() applies the same checks to every
 // object on the device.
 #ifndef SRC_PS_CHECKPOINT_STORE_H_
@@ -65,7 +62,6 @@
 #include "src/common/types.h"
 #include "src/obs/emitter.h"
 #include "src/ps/clock_table.h"  // For the Clock alias.
-#include "src/ps/model.h"
 
 namespace proteus {
 
@@ -153,19 +149,13 @@ struct CheckpointWriteResult {
   std::uint64_t epoch = 0;
   Clock clock = 0;
   std::uint64_t bytes_written = 0;  // Chunk + manifest bytes persisted.
-  int chunks_written = 0;
-  int chunks_reused = 0;  // Incremental hits (shard version unchanged).
 };
 
 struct LoadedCheckpoint {
   std::uint64_t epoch = 0;
   Clock clock = 0;
-  std::vector<std::vector<std::uint8_t>> shard_blobs;
+  std::vector<std::uint8_t> payload;  // The blob Write() was given.
   std::uint64_t bytes_read = 0;
-  // The shard payloads concatenated in shard order. Rows of canonical
-  // model blobs carry their keys, so ModelStore::RestoreCheckpoint of
-  // this restores a multi-shard epoch exactly.
-  std::vector<std::uint8_t> Payload() const;
   // Committed-looking epochs rejected before this one validated.
   int corrupt_epochs_skipped = 0;
   // Epochs with only a MANIFEST.tmp (crash before the commit point).
@@ -189,18 +179,10 @@ class CheckpointStore {
   // registry).
   void SetObservability(obs::MetricsRegistry* metrics);
 
-  // Serializes the model as one shard, writes it + a manifest, commits
-  // via rename, then GCs epochs beyond the retention window. An
-  // unchanged model (same Version() as the last committed epoch) is
-  // referenced by name without rewriting.
-  CheckpointWriteResult WriteCheckpoint(const ModelStore& model, Clock clock);
-
-  // Same protocol for pre-serialized blobs (a runtime's in-memory
-  // checkpoint mirrored out). `shard_versions` keys incrementality;
-  // pass all-zero to force full writes.
-  CheckpointWriteResult WriteBlobs(const std::vector<std::vector<std::uint8_t>>& blobs,
-                                   const std::vector<std::uint64_t>& shard_versions,
-                                   Clock clock);
+  // Writes `blob` (normally the runtime's in-memory checkpoint) as the
+  // next epoch's chunk plus a manifest, commits via rename, then GCs
+  // epochs beyond the retention window.
+  CheckpointWriteResult Write(std::span<const std::uint8_t> blob, Clock clock);
 
   // Newest epoch that passes full validation; corrupt or torn epochs
   // are skipped (and counted in the result), never loaded.
@@ -217,9 +199,6 @@ class CheckpointStore {
   DurableDevice* device() { return device_; }
 
  private:
-  CheckpointWriteResult WriteInternal(
-      const std::vector<std::vector<std::uint8_t>>& blobs,
-      const std::vector<std::uint64_t>& shard_versions, Clock clock);
   void CollectGarbage();
 
   DurableDevice* device_;
@@ -229,10 +208,6 @@ class CheckpointStore {
   std::uint64_t last_committed_epoch_ = 0;
   std::uint64_t epochs_committed_ = 0;
   std::uint64_t commit_aborts_ = 0;
-  // shard -> version captured at the last *committed* epoch; the
-  // incremental-reuse key. Torn commits must not update this, or a
-  // later epoch would reference a chunk that was never fully written.
-  std::map<int, std::uint64_t> committed_versions_;
 
   // Re-resolves the cached metric handles against obs_'s registry.
   void BindMetrics();
@@ -240,8 +215,6 @@ class CheckpointStore {
   obs::Emitter obs_;
   obs::Counter* bytes_written_counter_ = nullptr;
   obs::Counter* bytes_restored_counter_ = nullptr;
-  obs::Counter* chunks_written_counter_ = nullptr;
-  obs::Counter* chunks_reused_counter_ = nullptr;
   obs::Counter* epochs_committed_counter_ = nullptr;
   obs::Counter* commit_aborts_counter_ = nullptr;
   obs::Counter* corrupt_epochs_counter_ = nullptr;
@@ -251,8 +224,6 @@ class CheckpointStore {
 // Exposed for tests: full validation of a single chunk object. Returns
 // nullopt unless the frame parses and its CRC matches.
 struct ParsedChunk {
-  int shard = 0;
-  std::uint64_t shard_version = 0;
   Clock clock = 0;
   std::vector<std::uint8_t> payload;
 };

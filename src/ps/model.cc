@@ -99,7 +99,6 @@ void ModelStore::ApplyDelta(int table, std::int64_t row, std::span<const float> 
     value[i] += delta[i];
   }
   p.dirty.insert(MakeRowKey(table, row));
-  version_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ModelStore::SetRow(int table, std::int64_t row, std::span<const float> value) {
@@ -109,7 +108,6 @@ void ModelStore::SetRow(int table, std::int64_t row, std::span<const float> valu
   PROTEUS_CHECK_EQ(value.size(), stored.size());
   std::copy(value.begin(), value.end(), stored.begin());
   p.dirty.insert(MakeRowKey(table, row));
-  version_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ModelStore::EnableBackups() {
@@ -118,7 +116,6 @@ void ModelStore::EnableBackups() {
     p->backup = p->state;
     p->dirty.clear();
   }
-  version_.fetch_add(1, std::memory_order_relaxed);
   backups_enabled_ = true;
 }
 
@@ -142,7 +139,6 @@ std::uint64_t ModelStore::SyncPartitionToBackup(PartitionId part) {
     bytes += RowBytes(TableOfKey(key));
   }
   p.dirty.clear();
-  version_.fetch_add(1, std::memory_order_relaxed);
   return bytes;
 }
 
@@ -161,7 +157,6 @@ void ModelStore::RollbackPartitionToBackup(PartitionId part) {
     }
   }
   p.dirty.clear();
-  version_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ModelStore::RollbackAllToBackup() {
@@ -213,7 +208,6 @@ void ModelStore::RestoreCheckpoint(std::span<const std::uint8_t> blob) {
     p->backup.clear();  // Restore invalidates the backup copy.
     p->dirty.clear();
   }
-  version_.fetch_add(1, std::memory_order_relaxed);
   backups_enabled_ = false;
   std::size_t offset = 0;
   auto read = [&](void* out, std::size_t n) {

@@ -21,12 +21,10 @@
 // backups must EnableBackups() afterwards (AgileMLRuntime does).
 //
 // Thread-safety: every operation takes the owning partition's mutex.
-// Row vectors are never resized after creation. Version() is readable
-// lock-free.
+// Row vectors are never resized after creation.
 #ifndef SRC_PS_MODEL_H_
 #define SRC_PS_MODEL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -106,13 +104,9 @@ class ModelStore {
   // Serializes the full authoritative state in canonical order
   // (partitions ascending, rows sorted by key within each partition).
   std::vector<std::uint8_t> SerializeCheckpoint() const;
-  // Clears the store and reloads the blob's rows, placing each by key
-  // (so the concatenation of canonical blobs restores exactly).
+  // Clears the store and reloads the blob's rows, placing each by key.
   // Invalidates the backup copy; re-EnableBackups() after.
   void RestoreCheckpoint(std::span<const std::uint8_t> blob);
-
-  // Lock-free monotonic mutation counter (bumps on every state change).
-  std::uint64_t Version() const { return version_.load(std::memory_order_relaxed); }
 
   // Sequential iteration over materialized rows of a table (objective
   // computation). Not thread-safe against concurrent writers.
@@ -141,7 +135,6 @@ class ModelStore {
   std::uint64_t seed_;
   bool backups_enabled_ = false;
   std::vector<std::unique_ptr<Partition>> partitions_;
-  std::atomic<std::uint64_t> version_{0};
 };
 
 }  // namespace proteus

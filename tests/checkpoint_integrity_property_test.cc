@@ -23,23 +23,19 @@
 namespace proteus {
 namespace {
 
-std::vector<std::vector<std::uint8_t>> MakeBlobs(int shards, std::uint8_t salt) {
-  std::vector<std::vector<std::uint8_t>> blobs;
-  for (int s = 0; s < shards; ++s) {
-    std::vector<std::uint8_t> blob;
-    for (int i = 0; i < 48 + 16 * s; ++i) {
-      blob.push_back(static_cast<std::uint8_t>(salt * 13 + s * 7 + i));
-    }
-    blobs.push_back(std::move(blob));
+std::vector<std::uint8_t> MakeBlob(std::uint8_t salt) {
+  std::vector<std::uint8_t> blob;
+  for (int i = 0; i < 80; ++i) {
+    blob.push_back(static_cast<std::uint8_t>(salt * 13 + i));
   }
-  return blobs;
+  return blob;
 }
 
 // One committed chunk object, fetched back off the device.
 std::vector<std::uint8_t> OneChunkFrame() {
   MemDurableDevice device;
   CheckpointStore store(&device);
-  EXPECT_TRUE(store.WriteBlobs(MakeBlobs(1, 5), {1}, 3).committed);
+  EXPECT_TRUE(store.Write(MakeBlob(5), 3).committed);
   for (const std::string& name : device.List()) {
     if (name.rfind("ck/obj/", 0) == 0) {
       return *device.Read(name);
@@ -85,14 +81,12 @@ TEST(CheckpointIntegrityProperty, ScrubFindsEveryInjectedCorruption) {
     MemDurableDevice device;
     CheckpointStore store(&device, CheckpointStoreConfig{6});
     // Remember every committed state so loads can be checked byte-wise.
-    std::map<std::uint64_t, std::vector<std::vector<std::uint8_t>>> committed;
+    std::map<std::uint64_t, std::vector<std::uint8_t>> committed;
     for (int e = 0; e < 5; ++e) {
-      const auto blobs = MakeBlobs(3, static_cast<std::uint8_t>(seed * 16 + e));
-      const std::uint64_t v = static_cast<std::uint64_t>(e + 1);
-      const CheckpointWriteResult w =
-          store.WriteBlobs(blobs, {v, v, v}, static_cast<Clock>(e * 2));
+      const auto blob = MakeBlob(static_cast<std::uint8_t>(seed * 16 + e));
+      const CheckpointWriteResult w = store.Write(blob, static_cast<Clock>(e * 2));
       ASSERT_TRUE(w.committed);
-      committed[w.epoch] = blobs;
+      committed[w.epoch] = blob;
     }
 
     // Corrupt a few random objects: truncations and bit flips.
@@ -135,7 +129,7 @@ TEST(CheckpointIntegrityProperty, ScrubFindsEveryInjectedCorruption) {
     if (loaded.has_value()) {
       const auto it = committed.find(loaded->epoch);
       ASSERT_TRUE(it != committed.end()) << "seed " << seed;
-      EXPECT_EQ(loaded->shard_blobs, it->second)
+      EXPECT_EQ(loaded->payload, it->second)
           << "seed " << seed << ": loaded bytes differ from committed bytes";
     }
   }
@@ -144,9 +138,9 @@ TEST(CheckpointIntegrityProperty, ScrubFindsEveryInjectedCorruption) {
 TEST(CheckpointIntegrityProperty, CorruptNewestEpochFallsBackToOlder) {
   MemDurableDevice device;
   CheckpointStore store(&device, CheckpointStoreConfig{4});
-  const auto old_blobs = MakeBlobs(2, 1);
-  ASSERT_TRUE(store.WriteBlobs(old_blobs, {1, 1}, 2).committed);
-  ASSERT_TRUE(store.WriteBlobs(MakeBlobs(2, 2), {2, 2}, 4).committed);
+  const auto old_blob = MakeBlob(1);
+  ASSERT_TRUE(store.Write(old_blob, 2).committed);
+  ASSERT_TRUE(store.Write(MakeBlob(2), 4).committed);
 
   // Damage the newest epoch's manifest: validation must skip it.
   std::string newest_manifest;
@@ -161,7 +155,7 @@ TEST(CheckpointIntegrityProperty, CorruptNewestEpochFallsBackToOlder) {
   const auto loaded = store.ReadNewestValid();
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->epoch, 1u);
-  EXPECT_EQ(loaded->shard_blobs, old_blobs);
+  EXPECT_EQ(loaded->payload, old_blob);
   EXPECT_EQ(loaded->corrupt_epochs_skipped, 1);
 }
 

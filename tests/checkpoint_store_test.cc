@@ -1,80 +1,62 @@
 // Unit tests for the durable CheckpointStore: the two-phase manifest
-// commit, incremental shard reuse, retention/GC, crash-reopen recovery
-// of the epoch cursor, fault-hook behavior of MemDurableDevice, and the
-// file-backed device.
+// commit, retention/GC, crash-reopen recovery of the epoch cursor,
+// fault-hook behavior of MemDurableDevice, and the file-backed device.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "src/ps/checkpoint_store.h"
+#include "src/ps/model.h"
 
 namespace proteus {
 namespace {
 
-std::vector<std::vector<std::uint8_t>> MakeBlobs(int shards, std::uint8_t salt) {
-  std::vector<std::vector<std::uint8_t>> blobs;
-  for (int s = 0; s < shards; ++s) {
-    std::vector<std::uint8_t> blob;
-    for (int i = 0; i < 64 + 8 * s; ++i) {
-      blob.push_back(static_cast<std::uint8_t>(salt + s * 31 + i));
-    }
-    blobs.push_back(std::move(blob));
+std::vector<std::uint8_t> MakeBlob(std::uint8_t salt) {
+  std::vector<std::uint8_t> blob;
+  for (int i = 0; i < 96; ++i) {
+    blob.push_back(static_cast<std::uint8_t>(salt + i));
   }
-  return blobs;
+  return blob;
+}
+
+int CountObjects(const DurableDevice& device, const std::string& fragment) {
+  int count = 0;
+  for (const std::string& name : device.List()) {
+    count += name.find(fragment) != std::string::npos;
+  }
+  return count;
 }
 
 TEST(CheckpointStoreTest, WriteAndReadBackRoundTrip) {
   MemDurableDevice device;
   CheckpointStore store(&device);
-  const auto blobs = MakeBlobs(3, 7);
-  const CheckpointWriteResult write = store.WriteBlobs(blobs, {1, 1, 1}, 5);
+  const auto blob = MakeBlob(7);
+  const CheckpointWriteResult write = store.Write(blob, 5);
   ASSERT_TRUE(write.committed);
   EXPECT_EQ(write.epoch, 1u);
-  EXPECT_EQ(write.chunks_written, 3);
-  EXPECT_EQ(write.chunks_reused, 0);
-  EXPECT_GT(write.bytes_written, 0u);
+  EXPECT_GT(write.bytes_written, blob.size());
 
   const auto loaded = store.ReadNewestValid();
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->epoch, 1u);
   EXPECT_EQ(loaded->clock, 5);
-  EXPECT_EQ(loaded->shard_blobs, blobs);
+  EXPECT_EQ(loaded->payload, blob);
   EXPECT_EQ(loaded->corrupt_epochs_skipped, 0);
   EXPECT_EQ(loaded->torn_epochs_skipped, 0);
   EXPECT_TRUE(store.Scrub().clean());
 }
 
-TEST(CheckpointStoreTest, IncrementalWriteReusesUnchangedShards) {
-  MemDurableDevice device;
-  CheckpointStore store(&device);
-  auto blobs = MakeBlobs(4, 3);
-  ASSERT_TRUE(store.WriteBlobs(blobs, {1, 1, 1, 1}, 2).committed);
-
-  blobs[2] = MakeBlobs(4, 99)[2];  // Only shard 2 changed.
-  const CheckpointWriteResult second = store.WriteBlobs(blobs, {1, 1, 2, 1}, 4);
-  ASSERT_TRUE(second.committed);
-  EXPECT_EQ(second.chunks_written, 1);
-  EXPECT_EQ(second.chunks_reused, 3);
-
-  const auto loaded = store.ReadNewestValid();
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->epoch, 2u);
-  EXPECT_EQ(loaded->shard_blobs, blobs);
-}
-
 TEST(CheckpointStoreTest, DroppedRenameLeavesPriorEpochRestorable) {
   MemDurableDevice device;
   CheckpointStore store(&device);
-  const auto first = MakeBlobs(2, 1);
-  ASSERT_TRUE(store.WriteBlobs(first, {1, 1}, 3).committed);
+  const auto first = MakeBlob(1);
+  ASSERT_TRUE(store.Write(first, 3).committed);
 
   device.ArmDropRename();  // The commit point never happens.
-  const auto second = MakeBlobs(2, 50);
-  const CheckpointWriteResult torn = store.WriteBlobs(second, {2, 2}, 6);
+  const CheckpointWriteResult torn = store.Write(MakeBlob(50), 6);
   EXPECT_FALSE(torn.committed);
   EXPECT_EQ(store.commit_aborts(), 1u);
   EXPECT_EQ(store.last_committed_epoch(), 1u);
@@ -83,7 +65,7 @@ TEST(CheckpointStoreTest, DroppedRenameLeavesPriorEpochRestorable) {
   const auto loaded = store.ReadNewestValid();
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->epoch, 1u);
-  EXPECT_EQ(loaded->shard_blobs, first);
+  EXPECT_EQ(loaded->payload, first);
   EXPECT_EQ(loaded->torn_epochs_skipped, 1);
   EXPECT_EQ(store.Scrub().torn_epochs, 1);
   EXPECT_TRUE(store.Scrub().clean());
@@ -92,10 +74,10 @@ TEST(CheckpointStoreTest, DroppedRenameLeavesPriorEpochRestorable) {
 TEST(CheckpointStoreTest, TornChunkWriteAbortsCleanly) {
   MemDurableDevice device;
   CheckpointStore store(&device);
-  ASSERT_TRUE(store.WriteBlobs(MakeBlobs(2, 1), {1, 1}, 3).committed);
+  ASSERT_TRUE(store.Write(MakeBlob(1), 3).committed);
 
   device.ArmTornWrite(0.5);  // The next chunk write tears mid-frame.
-  const CheckpointWriteResult torn = store.WriteBlobs(MakeBlobs(2, 50), {2, 2}, 6);
+  const CheckpointWriteResult torn = store.Write(MakeBlob(50), 6);
   EXPECT_FALSE(torn.committed);
   EXPECT_EQ(store.commit_aborts(), 1u);
   // The partial object was rolled back: the device self-scrubs clean.
@@ -109,18 +91,12 @@ TEST(CheckpointStoreTest, RetentionGarbageCollectsOldEpochs) {
   MemDurableDevice device;
   CheckpointStore store(&device, CheckpointStoreConfig{2});
   for (int e = 0; e < 5; ++e) {
-    const std::uint64_t v = static_cast<std::uint64_t>(e + 1);
-    ASSERT_TRUE(store
-                    .WriteBlobs(MakeBlobs(2, static_cast<std::uint8_t>(e)), {v, v},
-                                static_cast<Clock>(e))
+    ASSERT_TRUE(store.Write(MakeBlob(static_cast<std::uint8_t>(e)), static_cast<Clock>(e))
                     .committed);
   }
-  // Only the 2 newest manifests survive, and no unreferenced chunks.
-  int manifests = 0;
-  for (const std::string& name : device.List()) {
-    manifests += name.find("/MANIFEST") != std::string::npos;
-  }
-  EXPECT_EQ(manifests, 2);
+  // Only the 2 newest manifests survive, each with its one chunk.
+  EXPECT_EQ(CountObjects(device, "/MANIFEST"), 2);
+  EXPECT_EQ(CountObjects(device, "ck/obj/"), 2);
   EXPECT_TRUE(store.Scrub().clean());
   const auto loaded = store.ReadNewestValid();
   ASSERT_TRUE(loaded.has_value());
@@ -129,49 +105,52 @@ TEST(CheckpointStoreTest, RetentionGarbageCollectsOldEpochs) {
 
 TEST(CheckpointStoreTest, ReopenRecoversEpochCursorAndIncrementality) {
   MemDurableDevice device;
-  auto blobs = MakeBlobs(3, 9);
+  const auto blob = MakeBlob(9);
   {
     CheckpointStore store(&device);
-    ASSERT_TRUE(store.WriteBlobs(blobs, {5, 6, 7}, 10).committed);
-    ASSERT_TRUE(store.WriteBlobs(blobs, {5, 6, 7}, 12).committed);
+    ASSERT_TRUE(store.Write(blob, 10).committed);
+    ASSERT_TRUE(store.Write(blob, 12).committed);
   }
   // A new store over the same device (process restart) must continue the
-  // epoch sequence and still recognize unchanged shards.
+  // epoch sequence.
   CheckpointStore reopened(&device);
   EXPECT_EQ(reopened.last_committed_epoch(), 2u);
-  const CheckpointWriteResult next = reopened.WriteBlobs(blobs, {5, 6, 7}, 14);
+  const CheckpointWriteResult next = reopened.Write(blob, 14);
   ASSERT_TRUE(next.committed);
   EXPECT_EQ(next.epoch, 3u);
-  EXPECT_EQ(next.chunks_reused, 3);
-  EXPECT_EQ(next.chunks_written, 0);
 }
 
-TEST(CheckpointStoreTest, CorruptReusedChunkIsRewrittenNotPropagated) {
-  MemDurableDevice device;
-  CheckpointStore store(&device);
-  const auto blobs = MakeBlobs(2, 4);
-  ASSERT_TRUE(store.WriteBlobs(blobs, {1, 1}, 2).committed);
-
-  // Rot a chunk that the next epoch would reuse.
-  std::string chunk;
-  for (const std::string& name : device.List()) {
-    if (name.rfind("ck/obj/", 0) == 0) {
-      chunk = name;
-      break;
+// A restart rebuilds both the model and the store over the same device
+// (ChaosStack::Restart). Two models that have taken the same number of
+// updates but hold different rows must never be confused: the reopened
+// store serves exactly the blob it was last given, whether the new
+// clock is ahead of or behind the earlier incarnation's.
+TEST(CheckpointStoreTest, ReopenedStoreNeverServesAnOlderModel) {
+  const std::vector<TableSpec> tables = {{0, 16, 4, 0.0F, 0.0F}};
+  auto five_updates = [&tables](std::int64_t first_row, float value) {
+    ModelStore model(tables, 4, 1);
+    for (std::int64_t r = first_row; r < first_row + 5; ++r) {
+      model.ApplyDelta(0, r, std::vector<float>(4, value));
     }
+    return model.SerializeCheckpoint();
+  };
+  const std::vector<std::uint8_t> a = five_updates(0, 1.0F);
+  const std::vector<std::uint8_t> b = five_updates(8, -2.0F);
+  ASSERT_NE(a, b);
+  for (const Clock b_clock : {Clock{12}, Clock{4}}) {
+    MemDurableDevice device;
+    {
+      CheckpointStore store(&device);
+      ASSERT_TRUE(store.Write(a, 10).committed);
+    }
+    CheckpointStore reopened(&device);
+    ASSERT_TRUE(reopened.Write(b, b_clock).committed);
+    const auto loaded = reopened.ReadNewestValid();
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->epoch, 2u) << "clock " << b_clock;
+    EXPECT_EQ(loaded->clock, b_clock);
+    EXPECT_EQ(loaded->payload, b) << "clock " << b_clock;
   }
-  ASSERT_FALSE(chunk.empty());
-  ASSERT_TRUE(device.FlipBit(chunk, 10, 2));
-
-  // Same versions: a naive store would reference the rotten chunk
-  // forever. Ours re-validates on reuse and rewrites it.
-  const CheckpointWriteResult heal = store.WriteBlobs(blobs, {1, 1}, 4);
-  ASSERT_TRUE(heal.committed);
-  EXPECT_GE(heal.chunks_written, 1);
-  const auto loaded = store.ReadNewestValid();
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->epoch, 2u);
-  EXPECT_EQ(loaded->shard_blobs, blobs);
 }
 
 TEST(CheckpointStoreTest, FileDeviceEndToEndWithReopen) {
@@ -179,10 +158,10 @@ TEST(CheckpointStoreTest, FileDeviceEndToEndWithReopen) {
       (std::filesystem::path(::testing::TempDir()) / "proteus_ckpt_test").string();
   std::filesystem::remove_all(root);
   FileDurableDevice device(root);
-  const auto blobs = MakeBlobs(3, 21);
+  const auto blob = MakeBlob(21);
   {
     CheckpointStore store(&device);
-    ASSERT_TRUE(store.WriteBlobs(blobs, {1, 2, 3}, 7).committed);
+    ASSERT_TRUE(store.Write(blob, 7).committed);
     EXPECT_TRUE(store.Scrub().clean());
   }
   FileDurableDevice reopened_device(root);
@@ -191,7 +170,7 @@ TEST(CheckpointStoreTest, FileDeviceEndToEndWithReopen) {
   const auto loaded = reopened.ReadNewestValid();
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->clock, 7);
-  EXPECT_EQ(loaded->shard_blobs, blobs);
+  EXPECT_EQ(loaded->payload, blob);
   std::filesystem::remove_all(root);
 }
 
@@ -206,37 +185,16 @@ TEST(CheckpointStoreTest, ModelWritesOneChunkAndMultiChunkPayloadRestoresExactly
   }
   const std::vector<std::uint8_t> canonical = model.SerializeCheckpoint();
 
-  // WriteCheckpoint stores the whole model as one chunk.
+  // The whole model is one chunk, and its payload restores exactly.
   MemDurableDevice device;
   CheckpointStore store(&device);
-  const CheckpointWriteResult write = store.WriteCheckpoint(model, 3);
-  ASSERT_TRUE(write.committed);
-  EXPECT_EQ(write.chunks_written, 1);
-  auto loaded = store.ReadNewestValid();
+  ASSERT_TRUE(store.Write(canonical, 3).committed);
+  EXPECT_EQ(CountObjects(device, "ck/obj/"), 1);
+  const auto loaded = store.ReadNewestValid();
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->Payload(), canonical);
-
-  // An epoch whose rows are split across chunks out of canonical order
-  // (table 1's rows first) still restores exactly: rows are placed by
-  // key.
-  std::vector<std::vector<std::uint8_t>> chunks(2);
-  for (std::size_t offset = 0; offset < canonical.size();) {
-    RowKey key = 0;
-    std::uint32_t cols = 0;
-    std::memcpy(&key, canonical.data() + offset, sizeof(key));
-    std::memcpy(&cols, canonical.data() + offset + sizeof(key), sizeof(cols));
-    const std::size_t n = sizeof(key) + sizeof(cols) + cols * sizeof(float);
-    auto& chunk = chunks[TableOfKey(key) == 1 ? 0 : 1];
-    chunk.insert(chunk.end(), canonical.begin() + static_cast<std::ptrdiff_t>(offset),
-                 canonical.begin() + static_cast<std::ptrdiff_t>(offset + n));
-    offset += n;
-  }
-  ASSERT_TRUE(store.WriteBlobs(chunks, {0, 0}, 4).committed);
-  loaded = store.ReadNewestValid();
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->shard_blobs.size(), 2u);
+  EXPECT_EQ(loaded->payload, canonical);
   ModelStore restored(tables, 8, 5);
-  restored.RestoreCheckpoint(loaded->Payload());
+  restored.RestoreCheckpoint(loaded->payload);
   EXPECT_EQ(restored.SerializeCheckpoint(), canonical);
 }
 

@@ -298,29 +298,5 @@ TEST(ModelStore, RollbackReturnsToTheLastSyncedState) {
   ExpectSameRows(m, expect);
 }
 
-TEST(ModelStore, VersionBumpsOnEveryStateChange) {
-  ModelStore m(TwoTables(), 4, 7);
-  const std::vector<float> delta(4, 1.0F);
-  std::uint64_t v = m.Version();
-  auto bumped = [&m, &v] {
-    const bool up = m.Version() > v;
-    v = m.Version();
-    return up;
-  };
-  m.ApplyDelta(0, 0, delta);
-  EXPECT_TRUE(bumped());
-  m.SetRow(0, 1, delta);
-  EXPECT_TRUE(bumped());
-  m.EnableBackups();
-  EXPECT_TRUE(bumped());
-  m.ApplyDelta(0, 0, delta);
-  m.SyncPartitionToBackup(m.PartitionOf(0, 0));
-  EXPECT_TRUE(bumped());
-  m.RollbackPartitionToBackup(m.PartitionOf(0, 0));
-  EXPECT_TRUE(bumped());
-  m.RestoreCheckpoint(m.SerializeCheckpoint());
-  EXPECT_TRUE(bumped());
-}
-
 }  // namespace
 }  // namespace proteus

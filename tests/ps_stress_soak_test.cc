@@ -1,8 +1,7 @@
 // Soak-labeled long variant of tests/ps_stress_test.cc (the filename's
 // "soak" gives it the ctest `soak` label; excluded from the default and
 // TSan suites, run by the dedicated soak lane). Same invariants — no
-// torn rows, a monotonic Version(), exact contended sums, consistent
-// concurrent snapshots — at an order of magnitude more work, enough for
+// torn rows, exact contended sums, consistent concurrent snapshots — at an order of magnitude more work, enough for
 // TSan/ASan to see rare interleavings (row materialization racing
 // readers, backup syncs racing applies).
 #include <gtest/gtest.h>
@@ -43,7 +42,6 @@ TEST(PsStressSoakTest, LongMixedWorkloadStaysConsistent) {
 
   std::atomic<bool> stop{false};
   std::atomic<int> torn{0};
-  std::atomic<int> version_regressions{0};
 
   std::vector<std::thread> readers;
   for (int i = 0; i < 2; ++i) {
@@ -63,17 +61,6 @@ TEST(PsStressSoakTest, LongMixedWorkloadStaysConsistent) {
       }
     });
   }
-
-  std::thread watcher([&] {
-    std::uint64_t last = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      const std::uint64_t v = store.Version();
-      if (v < last) {
-        version_regressions.fetch_add(1, std::memory_order_relaxed);
-      }
-      last = v;
-    }
-  });
 
   // Background sync pressure on every partition (stage-2 ActivePS load),
   // without rollbacks so the final sums stay exact.
@@ -116,12 +103,10 @@ TEST(PsStressSoakTest, LongMixedWorkloadStaysConsistent) {
   for (auto& t : readers) {
     t.join();
   }
-  watcher.join();
   syncer.join();
   snapshotter.join();
 
   EXPECT_EQ(torn.load(), 0);
-  EXPECT_EQ(version_regressions.load(), 0);
   std::vector<float> out;
   for (std::int64_t r = 0; r < kWriters * kRowsPerWriter; ++r) {
     store.ReadRow(0, r, out);
