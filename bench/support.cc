@@ -141,16 +141,12 @@ LdaEnv MakeLdaEnv() {
 AgileMLConfig ClusterAConfig(int num_partitions) {
   AgileMLConfig config;
   config.num_partitions = num_partitions;
-  config.staleness = 1;
   // Calibrated virtual core speed (cost units per core-second); see the
   // header comment and bench/tab_model_validation.cc.
   config.core_speed = 1.2e7;
-  config.nic_bandwidth = 1.25e8;  // 1 Gbps, as measured in §6.1.
   config.storage_bandwidth = 6.25e7;
-  config.barrier_overhead = 0.05;
   config.backup_sync_every = 1;
   config.data_blocks = 1024;
-  config.bytes_per_item = 64.0;
   config.seed = 7;
   config.parallel_execution = true;
   return config;
