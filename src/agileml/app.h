@@ -16,7 +16,6 @@
 
 #include "src/common/rng.h"
 #include "src/common/types.h"
-#include "src/ps/clock_table.h"
 #include "src/ps/model.h"
 
 namespace proteus {

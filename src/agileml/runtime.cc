@@ -14,8 +14,6 @@ namespace {
 // (write-back caches send updates asynchronously during the clock;
 // §2.1). Per-node time = max(compute, comm) + (1-overlap)*min(...).
 constexpr double kCommComputeOverlap = 0.85;
-// SSP staleness bound (clocks) the clock table enforces.
-constexpr int kStaleness = 1;
 // NIC bandwidth, bytes/sec: 1 Gbps, as measured in §6.1.
 constexpr double kNicBandwidth = 1.25e8;
 // Fixed per-clock synchronization overhead (barrier + control RPCs).
@@ -46,7 +44,6 @@ AgileMLRuntime::AgileMLRuntime(MLApp* app, AgileMLConfig config,
       fabric_(kNicBandwidth),
       data_(app->NumItems(), config.data_blocks),
       planner_(config.planner),
-      clocks_(kStaleness),
       detector_(config.detector),
       guard_(config.tier_guard) {
   PROTEUS_CHECK(app_ != nullptr);
@@ -73,7 +70,6 @@ AgileMLRuntime::AgileMLRuntime(MLApp* app, AgileMLConfig config,
   }
   std::vector<NodeId> workers(roles_.worker_nodes.begin(), roles_.worker_nodes.end());
   data_.Rebalance(workers);
-  RebuildClockTable();
   BindMetrics();
 }
 
@@ -108,16 +104,6 @@ void AgileMLRuntime::BindMetrics() {
       {0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 60.0, 120.0, 300.0});
 }
 
-const NodeInfo& AgileMLRuntime::Node(NodeId id) const {
-  for (const auto& node : nodes_) {
-    if (node.id == id) {
-      return node;
-    }
-  }
-  PROTEUS_LOG(Fatal) << "unknown node " << id;
-  __builtin_unreachable();
-}
-
 std::vector<NodeInfo> AgileMLRuntime::ReadyNodes() const {
   std::vector<NodeInfo> out;
   for (const auto& node : nodes_) {
@@ -132,12 +118,14 @@ TierCounts AgileMLRuntime::ReadyTierCounts() const { return CountTiers(ReadyNode
 
 double AgileMLRuntime::ComputeObjective() const { return app_->ComputeObjective(model_); }
 
-void AgileMLRuntime::RebuildClockTable() {
-  clocks_ = ClockTable(kStaleness);
-  for (const NodeId w : roles_.worker_nodes) {
-    clocks_.AddWorkerNode(w);
-    clocks_.AdvanceTo(w, clock_);
+std::vector<NodeId> AgileMLRuntime::WorkersInJoinOrder() const {
+  std::vector<NodeId> workers;
+  for (const auto& node : nodes_) {
+    if (roles_.worker_nodes.count(node.id) > 0) {
+      workers.push_back(node.id);
+    }
   }
+  return workers;
 }
 
 void AgileMLRuntime::TransitionRoles(const std::set<NodeId>& leaving, bool forced) {
@@ -255,12 +243,7 @@ void AgileMLRuntime::TransitionRoles(const std::set<NodeId>& leaving, bool force
 }
 
 void AgileMLRuntime::RebalanceData(bool forced) {
-  std::vector<NodeId> workers;
-  for (const auto& node : nodes_) {  // Preserve join order.
-    if (roles_.worker_nodes.count(node.id) > 0) {
-      workers.push_back(node.id);
-    }
-  }
+  const std::vector<NodeId> workers = WorkersInJoinOrder();
   PROTEUS_CHECK(!workers.empty());
   const std::vector<BlockMove> moves = data_.Rebalance(workers);
   std::set<NodeId> notified;
@@ -328,13 +311,7 @@ void AgileMLRuntime::IncorporateReady() {
   TransitionRoles(/*leaving=*/{}, /*forced=*/false);
   // New nodes preloaded their data during the preparing phase; mark their
   // assigned blocks loaded without charging again.
-  std::vector<NodeId> workers;
-  for (const auto& node : nodes_) {
-    if (roles_.worker_nodes.count(node.id) > 0) {
-      workers.push_back(node.id);
-    }
-  }
-  const std::vector<BlockMove> moves = data_.Rebalance(workers);
+  const std::vector<BlockMove> moves = data_.Rebalance(WorkersInJoinOrder());
   for (const auto& move : moves) {
     const bool prepaid = std::find(newly.begin(), newly.end(), move.to) != newly.end();
     if (!move.needs_load || prepaid) {
@@ -344,7 +321,6 @@ void AgileMLRuntime::IncorporateReady() {
         static_cast<std::uint64_t>(data_.BlockBytes(move.block, kBytesPerItem));
     queued_.push_back({kInvalidNode, move.to, bytes, TrafficClass::kBackground, false});
   }
-  RebuildClockTable();
   obs_.Event("nodes.incorporate", "agileml", total_time_,
              {{"count", static_cast<std::int64_t>(newly.size())},
               {"stage", std::string(StageName(roles_.stage))},
@@ -353,26 +329,47 @@ void AgileMLRuntime::IncorporateReady() {
                      << StageName(roles_.stage);
 }
 
+bool AgileMLRuntime::Unready(NodeId id) {
+  if (preparing_.erase(id) > 0) {
+    // Node was still preloading; it simply disappears.
+    Forget(id);
+    return false;
+  }
+  PROTEUS_CHECK(IsReady(id)) << "removing unknown node " << id;
+  ready_.erase(id);
+  silenced_.erase(id);
+  detector_.Unregister(id);
+  return true;
+}
+
+void AgileMLRuntime::Depart(const std::set<NodeId>& gone, bool warned) {
+  TransitionRoles(warned ? gone : std::set<NodeId>{}, /*forced=*/true);
+  for (const NodeId id : gone) {
+    data_.DropNode(id);
+  }
+  RebalanceData(/*forced=*/true);
+  for (const NodeId id : gone) {
+    Forget(id);
+  }
+}
+
+void AgileMLRuntime::Forget(NodeId id) {
+  fabric_.RemoveNode(id);
+  nodes_.erase(std::remove_if(nodes_.begin(), nodes_.end(),
+                              [id](const NodeInfo& n) { return n.id == id; }),
+               nodes_.end());
+}
+
 void AgileMLRuntime::Evict(const std::vector<NodeId>& node_ids) {
   std::set<NodeId> leaving;
   for (const NodeId id : node_ids) {
-    if (preparing_.erase(id) > 0) {
-      // Node was still preloading; it simply disappears.
-      fabric_.RemoveNode(id);
-      nodes_.erase(std::remove_if(nodes_.begin(), nodes_.end(),
-                                  [id](const NodeInfo& n) { return n.id == id; }),
-                   nodes_.end());
-      continue;
-    }
-    PROTEUS_CHECK(IsReady(id)) << "evicting unknown node " << id;
     PROTEUS_CHECK(revoked_.count(id) == 0)
         << "warned drain of zero-warning node " << id
         << "; revoked nodes go through the detector-confirmed Fail path only";
-    leaving.insert(id);
-    ready_.erase(id);
-    silenced_.erase(id);
-    detector_.Unregister(id);
-    control_log_.Record(ControlMessage::kEvictionSignal);
+    if (Unready(id)) {
+      leaving.insert(id);
+      control_log_.Record(ControlMessage::kEvictionSignal);
+    }
   }
   if (leaving.empty()) {
     return;
@@ -380,18 +377,7 @@ void AgileMLRuntime::Evict(const std::vector<NodeId>& node_ids) {
   obs_.Event("nodes.evict", "agileml", total_time_,
              {{"count", static_cast<std::int64_t>(leaving.size())},
               {"clock", static_cast<std::int64_t>(clock_)}});
-  TransitionRoles(leaving, /*forced=*/true);
-  for (const NodeId id : leaving) {
-    data_.DropNode(id);
-  }
-  RebalanceData(/*forced=*/true);
-  for (const NodeId id : leaving) {
-    fabric_.RemoveNode(id);
-    nodes_.erase(std::remove_if(nodes_.begin(), nodes_.end(),
-                                [id](const NodeInfo& n) { return n.id == id; }),
-                 nodes_.end());
-  }
-  RebuildClockTable();
+  Depart(leaving, /*warned=*/true);
 }
 
 int AgileMLRuntime::Fail(const std::vector<NodeId>& node_ids) {
@@ -408,21 +394,13 @@ int AgileMLRuntime::FailInternal(const std::vector<NodeId>& node_ids, bool durab
   bool lost_reliable_ps = false;
   bool revoked_victim = false;
   for (const NodeId id : node_ids) {
-    if (preparing_.erase(id) > 0) {
-      fabric_.RemoveNode(id);
-      nodes_.erase(std::remove_if(nodes_.begin(), nodes_.end(),
-                                  [id](const NodeInfo& n) { return n.id == id; }),
-                   nodes_.end());
+    if (!Unready(id)) {
       continue;
     }
-    PROTEUS_CHECK(IsReady(id)) << "failing unknown node " << id;
     dead.insert(id);
-    ready_.erase(id);
-    silenced_.erase(id);
     if (revoked_.erase(id) > 0) {
       revoked_victim = true;
     }
-    detector_.Unregister(id);
     for (const auto& [part, server] : roles_.server) {
       if (server == id) {
         if (roles_.UsesBackups()) {
@@ -502,18 +480,7 @@ int AgileMLRuntime::FailInternal(const std::vector<NodeId>& node_ids, bool durab
                      rollback_notices_before)
       << "Fail() lost " << lost_clocks << " clocks without a rollback notice";
 
-  TransitionRoles(/*leaving=*/{}, /*forced=*/true);
-  for (const NodeId id : dead) {
-    data_.DropNode(id);
-  }
-  RebalanceData(/*forced=*/true);
-  for (const NodeId id : dead) {
-    fabric_.RemoveNode(id);
-    nodes_.erase(std::remove_if(nodes_.begin(), nodes_.end(),
-                                [id](const NodeInfo& n) { return n.id == id; }),
-                 nodes_.end());
-  }
-  RebuildClockTable();
+  Depart(dead, /*warned=*/false);
   return lost_clocks;
 }
 
@@ -606,10 +573,6 @@ int AgileMLRuntime::RestoreFromCheckpoint() {
               {"lost_clocks", static_cast<std::int64_t>(lost)},
               {"to_clock", static_cast<std::int64_t>(clock_)},
               {"bytes_restored", static_cast<std::int64_t>(restored_bytes)}});
-  // Worker clocks must follow the runtime clock backwards, or the next
-  // RunClock would violate ClockTable's monotonic-advance invariant.
-  // (Fail() rebuilds again after membership settles; that is idempotent.)
-  RebuildClockTable();
   return lost;
 }
 
@@ -845,11 +808,6 @@ IterationReport AgileMLRuntime::RunClock() {
   report.worker_nodes = static_cast<int>(workers.size());
 
   ++clock_;
-  for (const NodeId w : workers) {
-    if (clocks_.HasWorkerNode(w)) {
-      clocks_.AdvanceTo(w, clock_);
-    }
-  }
   report.clock = clock_;
   total_time_ += report.duration;
   last_duration_ = report.duration;

@@ -35,7 +35,6 @@
 #include "src/common/types.h"
 #include "src/net/fabric.h"
 #include "src/obs/emitter.h"
-#include "src/ps/clock_table.h"
 #include "src/ps/model.h"
 
 namespace proteus {
@@ -218,7 +217,6 @@ class AgileMLRuntime {
   Clock last_sync_clock() const { return last_sync_clock_; }
   bool IsReadyNode(NodeId id) const { return IsReady(id); }
   bool IsPreparingNode(NodeId id) const { return preparing_.count(id) > 0; }
-  const ClockTable& clock_table() const { return clocks_; }
   const RoleAssignment& roles() const { return roles_; }
   const ModelStore& model() const { return model_; }
   const DataAssignment& data() const { return data_; }
@@ -269,17 +267,30 @@ class AgileMLRuntime {
     Clock clock = 0;
   };
 
-  const NodeInfo& Node(NodeId id) const;
   bool IsReady(NodeId id) const { return ready_.count(id) > 0; }
 
   // Shared body of Fail / FailWithDurableRestore.
   int FailInternal(const std::vector<NodeId>& node_ids, bool durable_restore);
 
+  // The departure path shared by Evict and Fail. Unready takes a node
+  // out of the ready set, the lease table and the silenced set; a node
+  // still preloading is forgotten at once, and Unready returns false.
+  bool Unready(NodeId id);
+  // Re-plans roles without the `gone` nodes, moves their data, then
+  // forgets them. `warned` nodes are alive and push their own state.
+  void Depart(const std::set<NodeId>& gone, bool warned);
+  // Drops `id` from the fabric and the node list.
+  void Forget(NodeId id);
+
   // Re-plans roles over ready nodes and queues the state transfers the
-  // transition requires. `dead` nodes cannot serve as transfer sources.
-  // `forced` marks transfers as foreground (eviction/failure handling)
-  // rather than background (planned growth).
-  void TransitionRoles(const std::set<NodeId>& dead, bool forced);
+  // transition requires. `leaving` nodes (warned, still alive) push their
+  // state to its new owner, charged to the receiver only. `forced` marks
+  // transfers as foreground (eviction/failure handling) rather than
+  // background (planned growth).
+  void TransitionRoles(const std::set<NodeId>& leaving, bool forced);
+
+  // The current worker nodes in join order.
+  std::vector<NodeId> WorkersInJoinOrder() const;
 
   // Rebalances input data over current worker nodes; charges loads for
   // moves whose destination lacks the block (forced => foreground).
@@ -294,7 +305,6 @@ class AgileMLRuntime {
 
   // Returns the stall time (seconds) contributed by forced transfers.
   SimDuration ChargeQueuedTransfers();
-  void RebuildClockTable();
 
   MLApp* app_;
   AgileMLConfig config_;
@@ -303,7 +313,6 @@ class AgileMLRuntime {
   DataAssignment data_;
   RolePlanner planner_;
   RoleAssignment roles_;
-  ClockTable clocks_;
 
   std::vector<NodeInfo> nodes_;  // Join order; includes preparing nodes.
   std::set<NodeId> ready_;

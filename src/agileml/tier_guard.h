@@ -28,7 +28,7 @@
 
 #include "src/agileml/cluster.h"
 #include "src/agileml/roles.h"
-#include "src/ps/clock_table.h"
+#include "src/common/types.h"
 
 namespace proteus {
 

@@ -43,7 +43,6 @@ void ConsistencyAuditor::Add(const std::string& invariant, const std::string& de
 
 void ConsistencyAuditor::ObserveClock() {
   CheckServingOwnership();
-  CheckStaleness();
   CheckDataCoverage();
   CheckBackupLag();
   CheckProgressAccounting();
@@ -99,32 +98,6 @@ void ConsistencyAuditor::CheckServingOwnership() {
             << backup;
         Add("serving-ownership", out.str());
       }
-    }
-  }
-}
-
-void ConsistencyAuditor::CheckStaleness() {
-  const ClockTable& table = runtime_->clock_table();
-  const Clock min_clock = table.MinClock();
-  for (const NodeId worker : runtime_->roles().worker_nodes) {
-    if (!table.HasWorkerNode(worker)) {
-      std::ostringstream out;
-      out << "worker " << worker << " missing from the clock table";
-      Add("ssp-staleness", out.str());
-      continue;
-    }
-    const Clock c = table.ClockOf(worker);
-    if (c - min_clock > table.staleness()) {
-      std::ostringstream out;
-      out << "worker " << worker << " at clock " << c << " exceeds staleness bound "
-          << table.staleness() << " over min " << min_clock;
-      Add("ssp-staleness", out.str());
-    }
-    if (c > runtime_->clock()) {
-      std::ostringstream out;
-      out << "worker " << worker << " at clock " << c << " ahead of global clock "
-          << runtime_->clock();
-      Add("ssp-staleness", out.str());
     }
   }
 }
@@ -208,6 +181,13 @@ void ConsistencyAuditor::CheckMembership() {
     std::ostringstream out;
     out << ready << " ready + " << preparing << " preparing != " << all << " nodes";
     Add("membership", out.str());
+  }
+  for (const NodeId worker : runtime_->roles().worker_nodes) {
+    if (!runtime_->IsReadyNode(worker)) {
+      std::ostringstream out;
+      out << "worker " << worker << " is not a ready node";
+      Add("membership", out.str());
+    }
   }
   if (runtime_->ReadyTierCounts().reliable < 1) {
     Add("membership", "reliable tier is empty");

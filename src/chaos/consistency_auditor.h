@@ -9,29 +9,28 @@
 //   1. Serving ownership: every partition has exactly one serving owner,
 //      and that owner is a ready node of the right tier for the stage
 //      (§3.2 role placement).
-//   2. SSP staleness: no worker's clock is more than `staleness` ahead
-//      of the slowest worker, nor ahead of the global clock (§3 fn. 6).
-//   3. Data coverage: every input block has exactly one live owner, the
+//   2. Data coverage: every input block has exactly one live owner, the
 //      owners are exactly the worker nodes, and per-worker item counts
 //      sum to the full input set (§3.3, Fig. 5).
-//   4. Backup lag: in stages 2/3 the BackupPS copy is never more than
+//   3. Backup lag: in stages 2/3 the BackupPS copy is never more than
 //      backup_sync_every clocks behind the active state (§3.3).
-//   5. Progress accounting: completed clocks net of declared rollbacks
+//   4. Progress accounting: completed clocks net of declared rollbacks
 //      (clock() + lost_clocks_total()) is monotone and advances by
 //      exactly one per executed clock — no silent loss, no double count.
-//   6. Membership: ready and preparing sets partition the node list and
-//      the reliable tier is never empty (§4.2).
-//   7. Channel conservation (optional, per channel): every message sent
+//   5. Membership: ready and preparing sets partition the node list,
+//      every worker is a ready node, and the reliable tier is never
+//      empty (§4.2).
+//   6. Channel conservation (optional, per channel): every message sent
 //      is delivered, dropped, or still pending, net of fault-injected
 //      duplicate copies (sent == delivered + dropped + pending -
 //      duplicated_extras) — the fault hook may lose or clone messages,
 //      but never unaccountably.
-//   8. Detector bound (when the failure detector is enabled): the
+//   7. Detector bound (when the failure detector is enabled): the
 //      detector tracks exactly the ready set, and every suspected node
 //      either recovers (lease renewed) or is confirmed dead and rolled
 //      back within confirm_after clocks — no node lingers suspected past
 //      the configured bound.
-//   9. Tier guard: no serverless node ever holds a parameter-server
+//   8. Tier guard: no serverless node ever holds a parameter-server
 //      role, the serverless worker fraction stays within the configured
 //      exposure bound, and (stages 2/3) the backup-sync lag stays
 //      bounded while serverless workers are exposed — the TierGuard
@@ -90,7 +89,6 @@ class ConsistencyAuditor {
   void Add(const std::string& invariant, const std::string& detail);
 
   void CheckServingOwnership();
-  void CheckStaleness();
   void CheckDataCoverage();
   void CheckBackupLag();
   void CheckProgressAccounting();

@@ -63,7 +63,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/ps/clock_table.h"
+#include "src/common/types.h"
 #include "src/rpc/channel.h"
 
 namespace proteus {

@@ -33,6 +33,10 @@ using PartitionId = std::int32_t;
 using AllocationId = std::int32_t;
 using WorkerId = std::int32_t;
 
+// Training clock: the count of completed iterations (§3.1). AgileML is
+// bulk-synchronous, so one global clock covers every worker.
+using Clock = std::int64_t;
+
 constexpr NodeId kInvalidNode = -1;
 constexpr PartitionId kInvalidPartition = -1;
 constexpr AllocationId kInvalidAllocation = -1;

@@ -114,25 +114,38 @@ std::vector<std::uint8_t> EncodeManifestFrame(const ParsedManifest& manifest) {
   return writer.Take();
 }
 
-// Full validation of one committed epoch: manifest frame, then its
-// chunk's existence, size, object CRC, and frame contents. On success
-// fills `out` (if non-null) with the payload.
+// What a manifest checks of its chunk object: size, object CRC and, if
+// the frame parsed, the chunk's clock.
+struct ChunkFacts {
+  std::uint64_t bytes = 0;
+  std::uint32_t crc = 0;
+  std::optional<Clock> clock;
+};
+
+ChunkFacts FactsOf(std::span<const std::uint8_t> object, const std::optional<ParsedChunk>& chunk) {
+  return {object.size(), Crc32(object),
+          chunk ? std::optional<Clock>(chunk->clock) : std::nullopt};
+}
+
+// A committed epoch is valid iff its chunk exists, has the manifest's
+// size and object CRC, parses, and was written at the manifest's clock.
+bool ChunkMatches(const ParsedManifest& manifest, const ChunkFacts& facts) {
+  return facts.bytes == manifest.chunk_bytes && facts.crc == manifest.chunk_crc &&
+         facts.clock == manifest.clock;
+}
+
+// Full validation of one committed epoch against its chunk on `device`;
+// on success fills `out` with the payload.
 bool ValidateEpoch(const DurableDevice& device, const ParsedManifest& manifest,
                    LoadedCheckpoint* out) {
   const auto object = device.Read(ChunkName(manifest.epoch));
   if (!object) return false;
-  if (object->size() != manifest.chunk_bytes) return false;
-  if (Crc32(*object) != manifest.chunk_crc) return false;
   auto chunk = ParseChunkFrame(*object);
-  if (!chunk) return false;
-  // The chunk is written with its manifest, at the same clock.
-  if (chunk->clock != manifest.clock) return false;
-  if (out != nullptr) {
-    out->epoch = manifest.epoch;
-    out->clock = manifest.clock;
-    out->payload = std::move(chunk->payload);
-    out->bytes_read = object->size();
-  }
+  if (!ChunkMatches(manifest, FactsOf(*object, chunk))) return false;
+  out->epoch = manifest.epoch;
+  out->clock = manifest.clock;
+  out->payload = std::move(chunk->payload);
+  out->bytes_read = object->size();
   return true;
 }
 
@@ -409,20 +422,30 @@ ScrubReport CheckpointStore::Scrub() const {
   }
   report.epochs_committed = static_cast<int>(committed.size());
   // Every chunk must self-validate regardless of which manifests still
-  // reference it.
+  // reference it. Each is read once; the manifest pass below checks
+  // against the facts kept here.
+  std::map<std::string, ChunkFacts> chunks;
   for (const std::string& name : chunk_names) {
     ++report.frames_checked;
     const auto bytes = device_->Read(name);
-    if (!bytes || !ParseChunkFrame(*bytes)) report.corrupt_objects.push_back(name);
+    if (!bytes) {
+      report.corrupt_objects.push_back(name);
+      continue;
+    }
+    const auto chunk = ParseChunkFrame(*bytes);
+    if (!chunk) report.corrupt_objects.push_back(name);
+    chunks.emplace(name, FactsOf(*bytes, chunk));
   }
   // Every committed manifest must parse and its epoch must fully
-  // validate (existence + size + CRC of each referenced chunk).
+  // validate (existence, size, CRC and clock of its chunk).
   for (std::uint64_t epoch : committed) {
     ++report.frames_checked;
     const std::string name = ManifestName(epoch);
     const auto bytes = device_->Read(name);
     const auto manifest = bytes ? ParseManifestFrame(*bytes) : std::nullopt;
-    if (!manifest || manifest->epoch != epoch || !ValidateEpoch(*device_, *manifest, nullptr)) {
+    const auto chunk = manifest ? chunks.find(ChunkName(manifest->epoch)) : chunks.end();
+    if (!manifest || manifest->epoch != epoch || chunk == chunks.end() ||
+        !ChunkMatches(*manifest, chunk->second)) {
       report.corrupt_objects.push_back(name);
     }
   }

@@ -61,7 +61,6 @@
 
 #include "src/common/types.h"
 #include "src/obs/emitter.h"
-#include "src/ps/clock_table.h"  // For the Clock alias.
 
 namespace proteus {
 

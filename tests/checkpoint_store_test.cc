@@ -1,10 +1,13 @@
 // Unit tests for the durable CheckpointStore: the two-phase manifest
 // commit, retention/GC, crash-reopen recovery of the epoch cursor,
-// fault-hook behavior of MemDurableDevice, and the file-backed device.
+// fault-hook behavior of MemDurableDevice, the file-backed device, and
+// Scrub's one read per object.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -196,6 +199,40 @@ TEST(CheckpointStoreTest, ModelWritesOneChunkAndMultiChunkPayloadRestoresExactly
   ModelStore restored(tables, 8, 5);
   restored.RestoreCheckpoint(loaded->payload);
   EXPECT_EQ(restored.SerializeCheckpoint(), canonical);
+}
+
+// A MemDurableDevice that counts Read calls per object name.
+class ReadCountingDevice : public MemDurableDevice {
+ public:
+  std::optional<std::vector<std::uint8_t>> Read(const std::string& name) const override {
+    ++reads[name];
+    return MemDurableDevice::Read(name);
+  }
+  mutable std::map<std::string, int> reads;
+};
+
+TEST(CheckpointStoreTest, ScrubReadsEachObjectOnce) {
+  ReadCountingDevice device;
+  CheckpointStore store(&device);
+  for (int clock = 1; clock <= 4; ++clock) {
+    ASSERT_TRUE(store.Write(MakeBlob(static_cast<std::uint8_t>(clock)), clock).committed);
+  }
+  // A flipped payload bit fails its chunk and the manifest that lists it.
+  const std::vector<std::string> names = device.List();
+  ASSERT_EQ(names.size(), 6u);  // Three retained epochs: chunk + manifest each.
+  const std::string chunk = names.back();  // "ck/obj/" sorts after "ck/ep/".
+  ASSERT_EQ(chunk.rfind("ck/obj/", 0), 0u);
+  ASSERT_TRUE(device.FlipBit(chunk, 20, 3));
+
+  device.reads.clear();
+  const ScrubReport report = store.Scrub();
+  EXPECT_EQ(report.frames_checked, 6);
+  ASSERT_EQ(report.corrupt_objects.size(), 2u);
+  EXPECT_EQ(report.corrupt_objects[0], chunk);
+  EXPECT_EQ(report.corrupt_objects[1].rfind("ck/ep/", 0), 0u);
+  for (const std::string& name : names) {
+    EXPECT_EQ(device.reads[name], 1) << name;
+  }
 }
 
 TEST(MemDurableDeviceTest, FaultHooksDisarmAfterOneShot) {
