@@ -7,6 +7,31 @@
 #include "src/common/logging.h"
 
 namespace proteus {
+namespace {
+
+// value[i] += delta[i] for i < n. Each chunk loads all of its inputs
+// before it stores, so -O2's vectorizer needs no runtime alias check and
+// the adds run as packed instructions; each sum is the same float add.
+void AddInto(float* value, const float* delta, std::size_t n) {
+  constexpr std::size_t kLanes = 8;
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    float vs[kLanes];
+    float ds[kLanes];
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      vs[j] = value[i + j];
+      ds[j] = delta[i + j];
+    }
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      value[i + j] = vs[j] + ds[j];
+    }
+  }
+  for (; i < n; ++i) {
+    value[i] += delta[i];
+  }
+}
+
+}  // namespace
 
 ModelStore::ModelStore(std::vector<TableSpec> tables, int num_partitions, std::uint64_t seed)
     : tables_(std::move(tables)), num_partitions_(num_partitions), seed_(seed) {
@@ -19,7 +44,21 @@ ModelStore::ModelStore(std::vector<TableSpec> tables, int num_partitions, std::u
   }
   partitions_.reserve(static_cast<std::size_t>(num_partitions_));
   for (int i = 0; i < num_partitions_; ++i) {
-    partitions_.push_back(std::make_unique<Partition>());
+    auto part = std::make_unique<Partition>();
+    part->slabs.resize(tables_.size());
+    for (const TableSpec& t : tables_) {
+      Slab& s = part->slabs[static_cast<std::size_t>(t.table_id)];
+      s.cols = t.cols;
+      // Partition i owns rows r with (r + t) % N == i: first_row, then
+      // every N-th row after it.
+      s.first_row = ((i - t.table_id) % num_partitions_ + num_partitions_) % num_partitions_;
+      s.rows = s.first_row < t.rows ? (t.rows - 1 - s.first_row) / num_partitions_ + 1 : 0;
+      s.flags.resize(static_cast<std::size_t>(s.rows));
+      const auto chunks = static_cast<std::size_t>((s.rows + kChunkRows - 1) / kChunkRows);
+      s.state.resize(chunks);
+      s.backup.resize(chunks);
+    }
+    partitions_.push_back(std::move(part));
   }
 }
 
@@ -69,51 +108,90 @@ float ModelStore::InitValueFor(RowKey key, int component) const {
   return spec.init_value + spec.init_jitter * static_cast<float>(2.0 * unit - 1.0);
 }
 
-std::vector<float>& ModelStore::RowLocked(Partition& p, int table, std::int64_t row) const {
-  const RowKey key = MakeRowKey(table, row);
-  auto it = p.state.find(key);
-  if (it == p.state.end()) {
-    const int cols = this->table(table).cols;
-    std::vector<float> value(static_cast<std::size_t>(cols));
-    for (int c = 0; c < cols; ++c) {
-      value[static_cast<std::size_t>(c)] = InitValueFor(key, c);
-    }
-    it = p.state.emplace(key, std::move(value)).first;
+float* ModelStore::RowIn(const Slab& s, std::vector<std::unique_ptr<float[]>>& chunks,
+                         std::int64_t local) {
+  const std::int64_t c = local / kChunkRows;
+  std::unique_ptr<float[]>& chunk = chunks[static_cast<std::size_t>(c)];
+  if (chunk == nullptr) {
+    // The last chunk holds only the rows the partition owns, so a table
+    // of a few wide rows costs no more than its rows.
+    const std::int64_t rows = std::min(kChunkRows, s.rows - c * kChunkRows);
+    chunk = std::make_unique_for_overwrite<float[]>(static_cast<std::size_t>(rows * s.cols));
   }
-  return it->second;
+  return chunk.get() + (local % kChunkRows) * s.cols;
+}
+
+const float* ModelStore::LiveRow(const Slab& s, std::int64_t local) {
+  return s.state[static_cast<std::size_t>(local / kChunkRows)].get() + (local % kChunkRows) * s.cols;
+}
+
+float* ModelStore::RowLocked(Slab& s, int table, std::int64_t local) const {
+  float* value = RowIn(s, s.state, local);
+  std::uint8_t& flags = s.flags[static_cast<std::size_t>(local)];
+  if ((flags & kLive) == 0) {
+    const RowKey key = MakeRowKey(table, s.first_row + local * num_partitions_);
+    for (int c = 0; c < s.cols; ++c) {
+      value[c] = InitValueFor(key, c);
+    }
+    flags |= kLive;
+    ++s.live;
+  }
+  return value;
+}
+
+void ModelStore::MarkDirty(Partition& p, Slab& s, int table, std::int64_t local) {
+  std::uint8_t& flags = s.flags[static_cast<std::size_t>(local)];
+  if ((flags & kDirty) == 0) {
+    flags |= kDirty;
+    p.dirty.push_back({table, local});
+  }
 }
 
 void ModelStore::ReadRow(int table, std::int64_t row, std::vector<float>& out) const {
   auto& p = const_cast<Partition&>(PartitionFor(table, row));
   std::lock_guard<std::mutex> lock(p.mu);
-  const std::vector<float>& value = RowLocked(p, table, row);
-  out.assign(value.begin(), value.end());
+  Slab& s = p.slabs[static_cast<std::size_t>(table)];
+  const float* value = RowLocked(s, table, LocalIndex(row));
+  out.assign(value, value + s.cols);
 }
 
 void ModelStore::ApplyDelta(int table, std::int64_t row, std::span<const float> delta) {
   Partition& p = PartitionFor(table, row);
   std::lock_guard<std::mutex> lock(p.mu);
-  std::vector<float>& value = RowLocked(p, table, row);
-  PROTEUS_CHECK_EQ(delta.size(), value.size());
-  for (std::size_t i = 0; i < value.size(); ++i) {
-    value[i] += delta[i];
-  }
-  p.dirty.insert(MakeRowKey(table, row));
+  Slab& s = p.slabs[static_cast<std::size_t>(table)];
+  const std::int64_t local = LocalIndex(row);
+  float* value = RowLocked(s, table, local);
+  PROTEUS_CHECK_EQ(delta.size(), static_cast<std::size_t>(s.cols));
+  AddInto(value, delta.data(), delta.size());
+  MarkDirty(p, s, table, local);
 }
 
 void ModelStore::SetRow(int table, std::int64_t row, std::span<const float> value) {
   Partition& p = PartitionFor(table, row);
   std::lock_guard<std::mutex> lock(p.mu);
-  std::vector<float>& stored = RowLocked(p, table, row);
-  PROTEUS_CHECK_EQ(value.size(), stored.size());
-  std::copy(value.begin(), value.end(), stored.begin());
-  p.dirty.insert(MakeRowKey(table, row));
+  Slab& s = p.slabs[static_cast<std::size_t>(table)];
+  const std::int64_t local = LocalIndex(row);
+  float* stored = RowLocked(s, table, local);
+  PROTEUS_CHECK_EQ(value.size(), static_cast<std::size_t>(s.cols));
+  std::copy(value.begin(), value.end(), stored);
+  MarkDirty(p, s, table, local);
 }
 
 void ModelStore::EnableBackups() {
   for (auto& p : partitions_) {
     std::lock_guard<std::mutex> lock(p->mu);
-    p->backup = p->state;
+    for (Slab& s : p->slabs) {
+      const auto row_bytes = static_cast<std::size_t>(s.cols) * sizeof(float);
+      for (std::int64_t local = 0; local < s.rows; ++local) {
+        std::uint8_t& flags = s.flags[static_cast<std::size_t>(local)];
+        if ((flags & kLive) != 0) {
+          std::memcpy(RowIn(s, s.backup, local), RowIn(s, s.state, local), row_bytes);
+          flags = kLive | kBacked;
+        } else {
+          flags = 0;
+        }
+      }
+    }
     p->dirty.clear();
   }
   backups_enabled_ = true;
@@ -123,8 +201,8 @@ std::uint64_t ModelStore::DirtyBytes(PartitionId part) const {
   const Partition& p = *partitions_[static_cast<std::size_t>(part)];
   std::lock_guard<std::mutex> lock(p.mu);
   std::uint64_t bytes = 0;
-  for (RowKey key : p.dirty) {
-    bytes += RowBytes(TableOfKey(key));
+  for (const DirtyRow& d : p.dirty) {
+    bytes += RowBytes(d.table);
   }
   return bytes;
 }
@@ -134,9 +212,12 @@ std::uint64_t ModelStore::SyncPartitionToBackup(PartitionId part) {
   Partition& p = *partitions_[static_cast<std::size_t>(part)];
   std::lock_guard<std::mutex> lock(p.mu);
   std::uint64_t bytes = 0;
-  for (RowKey key : p.dirty) {
-    p.backup[key] = p.state.at(key);
-    bytes += RowBytes(TableOfKey(key));
+  for (const DirtyRow& d : p.dirty) {
+    Slab& s = p.slabs[static_cast<std::size_t>(d.table)];
+    std::memcpy(RowIn(s, s.backup, d.local), RowIn(s, s.state, d.local),
+                static_cast<std::size_t>(s.cols) * sizeof(float));
+    s.flags[static_cast<std::size_t>(d.local)] = kLive | kBacked;
+    bytes += RowBytes(d.table);
   }
   p.dirty.clear();
   return bytes;
@@ -146,14 +227,18 @@ void ModelStore::RollbackPartitionToBackup(PartitionId part) {
   PROTEUS_CHECK(backups_enabled_);
   Partition& p = *partitions_[static_cast<std::size_t>(part)];
   std::lock_guard<std::mutex> lock(p.mu);
-  for (RowKey key : p.dirty) {
-    auto it = p.backup.find(key);
-    if (it != p.backup.end()) {
-      p.state[key] = it->second;
+  for (const DirtyRow& d : p.dirty) {
+    Slab& s = p.slabs[static_cast<std::size_t>(d.table)];
+    std::uint8_t& flags = s.flags[static_cast<std::size_t>(d.local)];
+    if ((flags & kBacked) != 0) {
+      std::memcpy(RowIn(s, s.state, d.local), RowIn(s, s.backup, d.local),
+                  static_cast<std::size_t>(s.cols) * sizeof(float));
+      flags = kLive | kBacked;
     } else {
       // Row materialized after the last sync; drop it — lazy init will
       // recreate the identical initial value on next read.
-      p.state.erase(key);
+      flags = 0;
+      --s.live;
     }
   }
   p.dirty.clear();
@@ -169,43 +254,57 @@ std::uint64_t ModelStore::PartitionBytes(PartitionId part) const {
   const Partition& p = *partitions_[static_cast<std::size_t>(part)];
   std::lock_guard<std::mutex> lock(p.mu);
   std::uint64_t bytes = 0;
-  for (const auto& [key, unused] : p.state) {
-    bytes += RowBytes(TableOfKey(key));
+  for (std::size_t t = 0; t < p.slabs.size(); ++t) {
+    bytes += static_cast<std::uint64_t>(p.slabs[t].live) * RowBytes(static_cast<int>(t));
   }
   return bytes;
 }
 
 std::vector<std::uint8_t> ModelStore::SerializeCheckpoint() const {
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(partitions_.size());
+  std::size_t size = 0;
+  for (const auto& p : partitions_) {
+    locks.emplace_back(p->mu);
+    for (const Slab& s : p->slabs) {
+      size += static_cast<std::size_t>(s.live) *
+              (sizeof(RowKey) + sizeof(std::uint32_t) + static_cast<std::size_t>(s.cols) * sizeof(float));
+    }
+  }
   std::vector<std::uint8_t> blob;
+  blob.reserve(size);
   auto append = [&blob](const void* data, std::size_t n) {
     const auto* bytes = static_cast<const std::uint8_t*>(data);
     blob.insert(blob.end(), bytes, bytes + n);
   };
-  std::vector<RowKey> keys;
   for (const auto& p : partitions_) {
-    std::lock_guard<std::mutex> lock(p->mu);
-    keys.clear();
-    keys.reserve(p->state.size());
-    for (const auto& [key, unused] : p->state) {
-      keys.push_back(key);
-    }
-    std::sort(keys.begin(), keys.end());
-    for (const RowKey key : keys) {
-      const std::vector<float>& value = p->state.at(key);
-      const auto cols = static_cast<std::uint32_t>(value.size());
-      append(&key, sizeof(key));
-      append(&cols, sizeof(cols));
-      append(value.data(), value.size() * sizeof(float));
+    for (std::size_t t = 0; t < p->slabs.size(); ++t) {
+      const Slab& s = p->slabs[t];
+      const auto cols = static_cast<std::uint32_t>(s.cols);
+      for (std::int64_t local = 0; local < s.rows; ++local) {
+        if ((s.flags[static_cast<std::size_t>(local)] & kLive) == 0) {
+          continue;
+        }
+        const RowKey key = MakeRowKey(static_cast<int>(t), s.first_row + local * num_partitions_);
+        append(&key, sizeof(key));
+        append(&cols, sizeof(cols));
+        append(LiveRow(s, local), cols * sizeof(float));
+      }
     }
   }
   return blob;
 }
 
 void ModelStore::RestoreCheckpoint(std::span<const std::uint8_t> blob) {
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(partitions_.size());
   for (auto& p : partitions_) {
-    std::lock_guard<std::mutex> lock(p->mu);
-    p->state.clear();
-    p->backup.clear();  // Restore invalidates the backup copy.
+    locks.emplace_back(p->mu);
+    for (Slab& s : p->slabs) {
+      // Restore invalidates the backup copy along with the state.
+      std::fill(s.flags.begin(), s.flags.end(), std::uint8_t{0});
+      s.live = 0;
+    }
     p->dirty.clear();
   }
   backups_enabled_ = false;
@@ -224,21 +323,28 @@ void ModelStore::RestoreCheckpoint(std::span<const std::uint8_t> blob) {
     // A blob from a differently shaped model (e.g. another MF rank) must
     // not install rows of the wrong width.
     PROTEUS_CHECK_EQ(static_cast<int>(n), table(tbl).cols) << "row width mismatch, key " << key;
-    std::vector<float> value(n);
-    read(value.data(), n * sizeof(float));
-    Partition& p = PartitionFor(tbl, RowOfKey(key));
-    std::lock_guard<std::mutex> lock(p.mu);
-    p.state[key] = std::move(value);
+    const std::int64_t row = RowOfKey(key);
+    Slab& s = PartitionFor(tbl, row).slabs[static_cast<std::size_t>(tbl)];
+    const std::int64_t local = LocalIndex(row);
+    read(RowIn(s, s.state, local), n * sizeof(float));
+    std::uint8_t& flags = s.flags[static_cast<std::size_t>(local)];
+    if ((flags & kLive) == 0) {
+      flags = kLive;
+      ++s.live;
+    }
   }
 }
 
 void ModelStore::ForEachRow(
     int table, const std::function<void(std::int64_t, std::span<const float>)>& fn) const {
+  const auto t = static_cast<std::size_t>(this->table(table).table_id);  // Checks the id.
   for (const auto& p : partitions_) {
     std::lock_guard<std::mutex> lock(p->mu);
-    for (const auto& [key, value] : p->state) {
-      if (TableOfKey(key) == table) {
-        fn(RowOfKey(key), std::span<const float>(value));
+    const Slab& s = p->slabs[t];
+    for (std::int64_t local = 0; local < s.rows; ++local) {
+      if ((s.flags[static_cast<std::size_t>(local)] & kLive) != 0) {
+        fn(s.first_row + local * num_partitions_,
+           std::span<const float>(LiveRow(s, local), static_cast<std::size_t>(s.cols)));
       }
     }
   }
@@ -248,7 +354,9 @@ std::size_t ModelStore::MaterializedRows() const {
   std::size_t total = 0;
   for (const auto& p : partitions_) {
     std::lock_guard<std::mutex> lock(p->mu);
-    total += p->state.size();
+    for (const Slab& s : p->slabs) {
+      total += static_cast<std::size_t>(s.live);
+    }
   }
   return total;
 }

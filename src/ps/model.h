@@ -7,21 +7,37 @@
 // partitions are never re-split). This class owns:
 //   - the authoritative state (what ActivePSs / ParamServs serve),
 //   - an optional backup copy (what BackupPSs hold in stages 2/3),
-//   - per-partition dirty tracking: the set of rows changed since the
-//     last active->backup sync. This is the paper's "aggregate of the
-//     delta applied ... since the last time they applied their state to
-//     the BackupPSs", which makes rollback cheap.
+//   - per-partition dirty tracking: the rows changed since the last
+//     active->backup sync. This is the paper's "aggregate of the delta
+//     applied ... since the last time they applied their state to the
+//     BackupPSs", which makes rollback cheap.
 //
-// Each partition is one hash map of rows plus a mutex; wire accounting
-// is per row (kRowWireOverhead framing on top of the raw floats).
+// Layout: each partition holds a mutex and one Slab per table. Because
+// partitions are never re-split, row r of table t always lives in
+// partition (r + t) % N at local index r / N, so a slab is a dense array
+// indexed directly by that local index, with no hashing. Row values sit
+// in chunks of kChunkRows rows (the last chunk of a slab holds only the
+// rows the partition owns), allocated on the first touch of any row in
+// them; backup chunks are allocated on the first sync or EnableBackups
+// that needs them. Beside the chunks a slab keeps one flag byte per row
+// (live, backed, dirty) and a live count; the partition keeps the list
+// of its dirty rows. The constructor allocates only flags and chunk
+// indexes, never row values. Lazy init materializes whole rows, and a
+// rollback that drops a row clears its live flag, so the next touch
+// re-initializes it identically. Wire accounting is per row
+// (kRowWireOverhead framing on top of the raw floats).
 //
-// Checkpoints are canonical (partitions ascending, rows sorted by key
-// within a partition), so identical state yields identical bytes.
-// RestoreCheckpoint invalidates the backup copy; callers that use
-// backups must EnableBackups() afterwards (AgileMLRuntime does).
+// Checkpoints are canonical: partitions ascending, then tables
+// ascending, then local index ascending, which is row-key order within a
+// partition, so identical state yields identical bytes. ForEachRow walks
+// rows in the same order. RestoreCheckpoint invalidates the backup copy;
+// callers that use backups must EnableBackups() afterwards (AgileMLRuntime
+// does).
 //
-// Thread-safety: every operation takes the owning partition's mutex.
-// Row vectors are never resized after creation.
+// Thread-safety: every row operation takes the owning partition's mutex;
+// SerializeCheckpoint and RestoreCheckpoint hold every partition's mutex
+// (taken in ascending order) for their whole pass. Chunks are never
+// resized or freed while the store lives.
 #ifndef SRC_PS_MODEL_H_
 #define SRC_PS_MODEL_H_
 
@@ -30,8 +46,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/types.h"
@@ -83,7 +97,7 @@ class ModelStore {
   void SetRow(int table, std::int64_t row, std::span<const float> value);
 
   // --- Backup machinery (stages 2 and 3) ---
-  // Snapshots current state as the backup copy and clears dirty sets.
+  // Snapshots current state as the backup copy and clears dirty rows.
   void EnableBackups();
   bool backups_enabled() const { return backups_enabled_; }
   // Wire bytes that a sync of partition p would transfer right now (0
@@ -103,13 +117,14 @@ class ModelStore {
   // --- Checkpointing (stage-1 reliable-machine insurance, §3.3) ---
   // Serializes the full authoritative state in canonical order
   // (partitions ascending, rows sorted by key within each partition).
+  // Each row is its key, its column count (uint32) and its floats.
   std::vector<std::uint8_t> SerializeCheckpoint() const;
   // Clears the store and reloads the blob's rows, placing each by key.
   // Invalidates the backup copy; re-EnableBackups() after.
   void RestoreCheckpoint(std::span<const std::uint8_t> blob);
 
-  // Sequential iteration over materialized rows of a table (objective
-  // computation). Not thread-safe against concurrent writers.
+  // Sequential iteration over materialized rows of a table, in
+  // checkpoint order. Not thread-safe against concurrent writers.
   void ForEachRow(int table,
                   const std::function<void(std::int64_t, std::span<const float>)>& fn) const;
 
@@ -117,17 +132,47 @@ class ModelStore {
   std::size_t MaterializedRows() const;
 
  private:
+  // Rows per value chunk of a slab.
+  static constexpr std::int64_t kChunkRows = 64;
+  // Per-row flag bits.
+  static constexpr std::uint8_t kLive = 1;    // Materialized in state.
+  static constexpr std::uint8_t kBacked = 2;  // Has a backup value.
+  static constexpr std::uint8_t kDirty = 4;   // Changed since the last sync.
+
+  // One table's rows in one partition, indexed by local index row / N.
+  struct Slab {
+    int cols = 0;
+    std::int64_t first_row = 0;  // Row at local index 0.
+    std::int64_t rows = 0;       // Rows of the table this partition owns.
+    std::int64_t live = 0;       // Rows with kLive set.
+    std::vector<std::uint8_t> flags;
+    std::vector<std::unique_ptr<float[]>> state;   // Chunks; null until touched.
+    std::vector<std::unique_ptr<float[]>> backup;  // Chunks; null until synced.
+  };
+  struct DirtyRow {
+    int table;
+    std::int64_t local;
+  };
   struct Partition {
     mutable std::mutex mu;
-    std::unordered_map<RowKey, std::vector<float>> state;
-    std::unordered_map<RowKey, std::vector<float>> backup;
-    std::unordered_set<RowKey> dirty;
+    std::vector<Slab> slabs;  // By table id.
+    std::vector<DirtyRow> dirty;
   };
 
   Partition& PartitionFor(int table, std::int64_t row);
   const Partition& PartitionFor(int table, std::int64_t row) const;
+  std::int64_t LocalIndex(std::int64_t row) const { return row / num_partitions_; }
+  // Pointer to the row at `local` in `chunks`, allocating its chunk on
+  // first use. Caller must hold the partition mutex.
+  static float* RowIn(const Slab& s, std::vector<std::unique_ptr<float[]>>& chunks,
+                      std::int64_t local);
+  // Pointer to a live row's value. Caller must hold the partition mutex.
+  static const float* LiveRow(const Slab& s, std::int64_t local);
   // Materializes the row if absent. Caller must hold the partition mutex.
-  std::vector<float>& RowLocked(Partition& p, int table, std::int64_t row) const;
+  float* RowLocked(Slab& s, int table, std::int64_t local) const;
+  // Flags the row dirty and lists it once per sync interval. Caller must
+  // hold the partition mutex.
+  static void MarkDirty(Partition& p, Slab& s, int table, std::int64_t local);
   float InitValueFor(RowKey key, int component) const;
 
   std::vector<TableSpec> tables_;

@@ -10,7 +10,10 @@
 //     (float addition of identical constants is associative enough:
 //     values are small integers, exactly representable);
 //   - concurrent SerializeCheckpoint snapshots are internally consistent
-//     (restoring one into a fresh store never yields a torn row).
+//     (restoring one into a fresh store never yields a torn row);
+//   - rows are stored in chunks allocated on first touch; threads that
+//     first-touch rows of one fresh chunk at once, racing a snapshotter,
+//     each land in that one chunk and lose no update.
 // The soak-labeled long variant lives in tests/ps_stress_soak_test.cc.
 #include <gtest/gtest.h>
 
@@ -165,6 +168,75 @@ TEST(PsStressTest, ConcurrentBackupSyncAndRollbackKeepRowsUniform) {
   ModelStore replica = MakeStore(256);
   replica.RestoreCheckpoint(store.SerializeCheckpoint());
   EXPECT_EQ(replica.SerializeCheckpoint(), store.SerializeCheckpoint());
+}
+
+TEST(PsStressTest, FirstTouchOfOneFreshChunkRacesSnapshots) {
+  // Partition 0 owns rows 0, 16, 32, ... of the 16-partition store, at
+  // local indexes 0, 1, 2, ...; round r touches the 64 rows of its chunk
+  // r, none touched before. Writers split each chunk's rows between them
+  // and start every round together, so they all allocate-or-find the
+  // same chunk under the partition lock while the snapshotter serializes.
+  constexpr int writers = 4;
+  constexpr int rounds = 16;
+  constexpr std::int64_t chunk_rows = 64;
+  constexpr std::int64_t partitions = 16;
+  constexpr std::int64_t total_rows = rounds * chunk_rows * partitions;
+  ModelStore store = MakeStore(total_rows);
+  auto row_of = [](int round, std::int64_t j) { return (round * chunk_rows + j) * partitions; };
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> torn{0};
+  std::thread snapshotter([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      ModelStore replica = MakeStore(total_rows);
+      replica.RestoreCheckpoint(store.SerializeCheckpoint());
+      replica.ForEachRow(0, [&](std::int64_t, std::span<const float> row) {
+        for (std::size_t c = 1; c < row.size(); ++c) {
+          if (row[c] != row[0]) {
+            torn.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+  });
+
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < writers; ++w) {
+    threads.emplace_back([&, w] {
+      std::vector<float> delta(kCols, 1.0F);
+      std::vector<float> out;
+      for (int round = 0; round < rounds; ++round) {
+        arrived.fetch_add(1);
+        while (arrived.load() < (round + 1) * writers) {
+          std::this_thread::yield();
+        }
+        for (std::int64_t j = w; j < chunk_rows; j += writers) {
+          store.ReadRow(0, row_of(round, j), out);  // First touch.
+          store.ApplyDelta(0, row_of(round, j), delta);
+          store.ApplyDelta(0, row_of(round, (j + 1) % chunk_rows), delta);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  snapshotter.join();
+
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(store.MaterializedRows(), static_cast<std::size_t>(rounds * chunk_rows));
+  // Every row got one delta from its own writer and one from its
+  // predecessor's.
+  std::vector<float> out;
+  for (int round = 0; round < rounds; ++round) {
+    for (std::int64_t j = 0; j < chunk_rows; ++j) {
+      store.ReadRow(0, row_of(round, j), out);
+      ExpectUniformRow(out, "first-touch");
+      ASSERT_EQ(out[0], 2.0F) << "round " << round << " slot " << j;
+    }
+  }
 }
 
 }  // namespace
