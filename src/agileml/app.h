@@ -30,9 +30,17 @@ struct AccessLog {
 };
 
 // Handle through which application worker code reads and updates model
-// parameters. Every call appends the row's key to the node's AccessLog,
-// which the runtime turns into network bytes; the arithmetic is applied
-// to the authoritative store immediately.
+// parameters. Every call appends the key of each row it touches to the
+// node's AccessLog, which the runtime turns into network bytes; the
+// arithmetic is applied to the authoritative store immediately.
+//
+// Read and Update take one row and one partition lock each: MF's
+// per-rating SGD, which reads its own writes, uses them. ReadMany and
+// UpdateMany take a list of rows of one table and lock each partition
+// once per call (ModelStore::ReadRows / ApplyDeltas); they log the same
+// keys as the per-row calls on the same rows. An app that coalesces a
+// range's work, like LDA, fetches its rows with one ReadMany and writes
+// its deltas back with one UpdateMany: the worker-side cache of §2.1.
 class WorkerContext {
  public:
   WorkerContext(NodeId node, ModelStore* model, AccessLog* log, Rng rng)
@@ -56,6 +64,23 @@ class WorkerContext {
   void Update(int table, std::int64_t row, std::span<const float> delta) {
     log_->updates.push_back(MakeRowKey(table, row));
     model_->ApplyDelta(table, row, delta);
+  }
+
+  // Copies row rows[i] of `table` into out[i * cols, (i + 1) * cols).
+  void ReadMany(int table, std::span<const std::int64_t> rows, std::span<float> out) {
+    for (const std::int64_t row : rows) {
+      log_->reads.push_back(MakeRowKey(table, row));
+    }
+    model_->ReadRows(table, rows, out);
+  }
+
+  // Adds deltas[i * cols, (i + 1) * cols) to row rows[i] of `table`;
+  // repeated rows apply in input order.
+  void UpdateMany(int table, std::span<const std::int64_t> rows, std::span<const float> deltas) {
+    for (const std::int64_t row : rows) {
+      log_->updates.push_back(MakeRowKey(table, row));
+    }
+    model_->ApplyDeltas(table, rows, deltas);
   }
 
   NodeId node() const { return node_; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
-#include <unordered_map>
 
 #include "src/apps/dense_kernels.h"
 #include "src/common/logging.h"
@@ -33,32 +32,30 @@ double LdaApp::CostPerItem() const {
 
 void LdaApp::InitDoc(WorkerContext& ctx, std::int64_t doc) {
   const int topics = config_.topics;
-  std::vector<float> totals_delta(static_cast<std::size_t>(topics), 0.0F);
-  std::unordered_map<std::int32_t, std::vector<float>> word_delta;
-  for (std::int64_t t = data_->DocBegin(doc); t < data_->DocEnd(doc); ++t) {
+  const auto width = static_cast<std::size_t>(topics);
+  const auto first = static_cast<std::size_t>(data_->DocBegin(doc));
+  const auto last = static_cast<std::size_t>(data_->DocEnd(doc));
+  // The document's distinct words, sorted, are its slots; slot i's counts
+  // sit at deltas[i * topics]. All of them go out in one UpdateMany at
+  // the document's end.
+  std::vector<std::int64_t> words(data_->tokens.begin() + static_cast<std::ptrdiff_t>(first),
+                                  data_->tokens.begin() + static_cast<std::ptrdiff_t>(last));
+  std::sort(words.begin(), words.end());
+  words.erase(std::unique(words.begin(), words.end()), words.end());
+  std::vector<float> deltas(words.size() * width, 0.0F);
+  std::vector<float> totals_delta(width, 0.0F);
+  for (std::size_t t = first; t < last; ++t) {
     const auto k = static_cast<std::int32_t>(ctx.rng().UniformInt(0, topics - 1));
-    z_[static_cast<std::size_t>(t)] = k;
-    const std::int32_t w = data_->tokens[static_cast<std::size_t>(t)];
-    auto [it, inserted] = word_delta.try_emplace(w);
-    if (inserted) {
-      it->second.assign(static_cast<std::size_t>(topics), 0.0F);
-    }
-    it->second[static_cast<std::size_t>(k)] += 1.0F;
+    z_[t] = k;
+    const auto slot = static_cast<std::size_t>(
+        std::lower_bound(words.begin(), words.end(), data_->tokens[t]) - words.begin());
+    deltas[slot * width + static_cast<std::size_t>(k)] += 1.0F;
     totals_delta[static_cast<std::size_t>(k)] += 1.0F;
   }
-  for (const auto& [w, delta] : word_delta) {
-    ctx.Update(kTableWordTopic, w, delta);
-  }
+  ctx.UpdateMany(kTableWordTopic, words, deltas);
   ctx.Update(kTableTotals, 0, totals_delta);
   doc_initialized_[static_cast<std::size_t>(doc)] = 1;
 }
-
-namespace {
-
-// Slots per block of ProcessRange's word slab.
-constexpr std::size_t kSlotsPerBlock = 64;
-
-}  // namespace
 
 void LdaApp::ProcessRange(WorkerContext& ctx, std::int64_t begin, std::int64_t end) {
   const int topics = config_.topics;
@@ -66,86 +63,91 @@ void LdaApp::ProcessRange(WorkerContext& ctx, std::int64_t begin, std::int64_t e
   const double alpha = kAlpha;
   const double beta = config_.beta;
   const double vbeta = static_cast<double>(data_->config.vocab) * beta;
+  auto visited = [&](std::int64_t doc) {
+    return doc_initialized_[static_cast<std::size_t>(doc)] != 0;
+  };
 
-  // Worker-side cache for this range: word rows fetched once on first
-  // touch, totals fetched once, all updates coalesced into one delta per
-  // row. slot_of maps a word to its slot in `words` (-1: untouched), and
-  // `words` lists the touched words in first-touch order. The slab holds,
-  // per slot, 2 * topics floats: the word's row as read (kept current as
-  // the range resamples), then the range's delta to it. It grows in fixed
-  // blocks, so a slot never moves and growing copies nothing. All of it
-  // lives for one range: the same scratch kept per thread and reused
-  // across ranges raised lda_churn's peak RSS by 1.5-3.7 MB, with no
-  // measurable speed-up.
+  // Worker-side cache for this range: each word row fetched once, totals
+  // fetched once, all updates coalesced into one delta per row and
+  // written back with one UpdateMany. slot_of maps a word to its slot in
+  // `words` (-1: none yet); `rows` holds each slot's row as read, kept
+  // current as the range resamples, and `deltas` the range's delta to
+  // it, both [slot x topics]. At the start of each run of visited
+  // documents a prescan slots the words the run touches first, and one
+  // ReadMany fetches exactly those. Visited documents write nothing, so
+  // each row is what a read at its first touch would return; a first
+  // visit (InitDoc) writes at once, and a later run sees its writes.
+  // All of it lives for one range: the same scratch kept per thread and
+  // reused across ranges raised lda_churn's peak RSS by 1.5-3.7 MB, with
+  // no measurable speed-up.
   std::vector<std::int32_t> slot_of(static_cast<std::size_t>(data_->config.vocab), -1);
-  std::vector<std::int32_t> words;
-  std::vector<std::vector<float>> blocks;
-  std::vector<float> row;
+  std::vector<std::int64_t> words;
+  std::vector<float> rows;
+  std::vector<float> deltas;
   std::vector<float> totals;
   ctx.ReadInto(kTableTotals, 0, totals);
   std::vector<float> totals_delta(width, 0.0F);
   std::vector<double> prob(width);
   std::vector<double> doc_hist(width);
 
-  auto slot_row = [&](std::size_t slot) {
-    return blocks[slot / kSlotsPerBlock].data() + (slot % kSlotsPerBlock) * 2 * width;
-  };
-  // The word's [row | delta] in the slab; a first touch reads the row.
-  // Blocks start zeroed and a slot is taken once, so its delta starts at
-  // zero.
-  auto row_of = [&](std::int32_t w) {
-    std::int32_t& slot = slot_of[static_cast<std::size_t>(w)];
-    if (slot < 0) {
-      slot = static_cast<std::int32_t>(words.size());
-      words.push_back(w);
-      if (words.size() > blocks.size() * kSlotsPerBlock) {
-        blocks.emplace_back(kSlotsPerBlock * 2 * width);
-      }
-      ctx.ReadInto(kTableWordTopic, w, row);
-      std::copy(row.begin(), row.end(), slot_row(static_cast<std::size_t>(slot)));
-    }
-    return slot_row(static_cast<std::size_t>(slot));
-  };
-
-  for (std::int64_t doc = begin; doc < end; ++doc) {
-    if (doc_initialized_[static_cast<std::size_t>(doc)] == 0) {
+  for (std::int64_t doc = begin; doc < end;) {
+    if (!visited(doc)) {
       InitDoc(ctx, doc);
+      ++doc;
       continue;
     }
-    // Rebuild the document-topic histogram from z.
-    std::fill(doc_hist.begin(), doc_hist.end(), 0.0);
-    for (std::int64_t t = data_->DocBegin(doc); t < data_->DocEnd(doc); ++t) {
-      doc_hist[static_cast<std::size_t>(z_[static_cast<std::size_t>(t)])] += 1.0;
+    // Prescan the run of visited documents that starts here.
+    const std::size_t fetched = words.size();
+    std::int64_t run_end = doc;
+    for (; run_end < end && visited(run_end); ++run_end) {
+      for (std::int64_t t = data_->DocBegin(run_end); t < data_->DocEnd(run_end); ++t) {
+        const std::int32_t w = data_->tokens[static_cast<std::size_t>(t)];
+        std::int32_t& slot = slot_of[static_cast<std::size_t>(w)];
+        if (slot < 0) {
+          slot = static_cast<std::int32_t>(words.size());
+          words.push_back(w);
+        }
+      }
     }
-    for (std::int64_t t = data_->DocBegin(doc); t < data_->DocEnd(doc); ++t) {
-      const std::int32_t w = data_->tokens[static_cast<std::size_t>(t)];
-      const auto old_k = static_cast<std::size_t>(z_[static_cast<std::size_t>(t)]);
-      float* wrow = row_of(w);
-      float* wdelta = wrow + width;
-      // Remove the token from its current topic.
-      doc_hist[old_k] -= 1.0;
-      wrow[old_k] -= 1.0F;
-      wdelta[old_k] -= 1.0F;
-      totals[old_k] -= 1.0F;
-      totals_delta[old_k] -= 1.0F;
-      // Collapsed Gibbs conditional, then one draw from it.
-      const double total = GibbsConditional(doc_hist.data(), wrow, totals.data(), alpha, beta,
-                                            vbeta, prob.data(), topics);
-      const auto new_k = ctx.rng().Categorical(prob, total);
-      // Add it back under the sampled topic.
-      z_[static_cast<std::size_t>(t)] = static_cast<std::int32_t>(new_k);
-      doc_hist[new_k] += 1.0;
-      wrow[new_k] += 1.0F;
-      wdelta[new_k] += 1.0F;
-      totals[new_k] += 1.0F;
-      totals_delta[new_k] += 1.0F;
+    rows.resize(words.size() * width);
+    deltas.resize(words.size() * width, 0.0F);
+    ctx.ReadMany(kTableWordTopic, std::span<const std::int64_t>(words).subspan(fetched),
+                 std::span<float>(rows).subspan(fetched * width));
+
+    for (; doc < run_end; ++doc) {
+      // Rebuild the document-topic histogram from z.
+      std::fill(doc_hist.begin(), doc_hist.end(), 0.0);
+      for (std::int64_t t = data_->DocBegin(doc); t < data_->DocEnd(doc); ++t) {
+        doc_hist[static_cast<std::size_t>(z_[static_cast<std::size_t>(t)])] += 1.0;
+      }
+      for (std::int64_t t = data_->DocBegin(doc); t < data_->DocEnd(doc); ++t) {
+        const std::int32_t w = data_->tokens[static_cast<std::size_t>(t)];
+        const auto old_k = static_cast<std::size_t>(z_[static_cast<std::size_t>(t)]);
+        const auto slot = static_cast<std::size_t>(slot_of[static_cast<std::size_t>(w)]);
+        float* wrow = rows.data() + slot * width;
+        float* wdelta = deltas.data() + slot * width;
+        // Remove the token from its current topic.
+        doc_hist[old_k] -= 1.0;
+        wrow[old_k] -= 1.0F;
+        wdelta[old_k] -= 1.0F;
+        totals[old_k] -= 1.0F;
+        totals_delta[old_k] -= 1.0F;
+        // Collapsed Gibbs conditional, then one draw from it.
+        const double total = GibbsConditional(doc_hist.data(), wrow, totals.data(), alpha, beta,
+                                              vbeta, prob.data(), topics);
+        const auto new_k = ctx.rng().Categorical(prob, total);
+        // Add it back under the sampled topic.
+        z_[static_cast<std::size_t>(t)] = static_cast<std::int32_t>(new_k);
+        doc_hist[new_k] += 1.0;
+        wrow[new_k] += 1.0F;
+        wdelta[new_k] += 1.0F;
+        totals[new_k] += 1.0F;
+        totals_delta[new_k] += 1.0F;
+      }
     }
   }
 
-  for (std::size_t slot = 0; slot < words.size(); ++slot) {
-    ctx.Update(kTableWordTopic, words[slot],
-               std::span<const float>(slot_row(slot) + width, width));
-  }
+  ctx.UpdateMany(kTableWordTopic, words, deltas);
   ctx.Update(kTableTotals, 0, totals_delta);
 }
 

@@ -39,6 +39,14 @@ class LdaApp : public MLApp {
   ModelInit DefineModel() const override;
   std::int64_t NumItems() const override { return data_->num_docs(); }
   double CostPerItem() const override;
+  // One Gibbs sweep over docs [begin, end) through a worker-side cache:
+  // each run of already-visited docs is prescanned for the words it
+  // touches first, which one ReadMany fetches; the range's coalesced word
+  // deltas go back in one UpdateMany at its end. A first-visit doc
+  // (random topics) writes its counts at once, with one UpdateMany. In
+  // sequential mode every row read equals what a per-row read at the
+  // word's first touch would return, so results are bit-identical to a
+  // lazily reading cache.
   void ProcessRange(WorkerContext& ctx, std::int64_t begin, std::int64_t end) override;
   // Negative mean per-token log-likelihood (lower is better).
   double ComputeObjective(const ModelStore& model) const override;

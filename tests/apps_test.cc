@@ -470,7 +470,11 @@ std::string HexRows(const ModelStore& store, int table, std::int64_t rows) {
 }
 
 // Six sequential clocks of three uneven ranges each, from the same store
-// seed and the same per-range Rng. The first clock initializes every
+// seed and the same per-range Rng. A priming pass first visits five
+// scattered document spans, so the first clock's ranges interleave
+// first-visit documents (whose counts go to the store at once) with
+// visited runs, some of which touch words an earlier run of the same
+// range already cached. The first clock initializes every remaining
 // document; before clock 4 some word rows are set negative or to -0.0 (as
 // a rollback can leave them), so the clamp runs inside ProcessRange.
 // topics = 13 is not a multiple of kLanes, so the conditional's tail runs.
@@ -490,6 +494,27 @@ TEST(Lda, ProcessRangeMatchesScalarOracle) {
     ModelStore got(app.DefineModel().tables, 4, 9);
     ModelStore want(oracle.DefineModel().tables, 4, 9);
     const std::int64_t cuts[] = {0, 17, 58, cc.docs};
+    auto run_range = [&](std::uint64_t seed, std::int64_t begin, std::int64_t end) {
+      const Rng rng(seed);
+      AccessLog got_log;
+      AccessLog want_log;
+      WorkerContext got_ctx(0, &got, &got_log, rng);
+      WorkerContext want_ctx(0, &want, &want_log, rng);
+      app.ProcessRange(got_ctx, begin, end);
+      oracle.ProcessRange(want_ctx, begin, end);
+      EXPECT_EQ(got_ctx.rng().engine()(), want_ctx.rng().engine()());
+      for (AccessLog* log : {&got_log, &want_log}) {
+        std::sort(log->reads.begin(), log->reads.end());
+        std::sort(log->updates.begin(), log->updates.end());
+      }
+      EXPECT_EQ(got_log.reads, want_log.reads);
+      EXPECT_EQ(got_log.updates, want_log.updates);
+    };
+    const std::int64_t primed[][2] = {{3, 8}, {20, 25}, {35, 40}, {60, 64}, {70, 80}};
+    for (const auto& span : primed) {
+      SCOPED_TRACE(span[0]);
+      run_range(static_cast<std::uint64_t>(1000 + span[0]), span[0], span[1]);
+    }
     for (int clock = 0; clock < 6; ++clock) {
       SCOPED_TRACE(clock);
       if (clock == 3) {
@@ -502,20 +527,8 @@ TEST(Lda, ProcessRangeMatchesScalarOracle) {
         }
       }
       for (int r = 0; r < 3; ++r) {
-        const Rng rng(static_cast<std::uint64_t>(100 * clock + r));
-        AccessLog got_log;
-        AccessLog want_log;
-        WorkerContext got_ctx(r, &got, &got_log, rng);
-        WorkerContext want_ctx(r, &want, &want_log, rng);
-        app.ProcessRange(got_ctx, cuts[r], cuts[r + 1]);
-        oracle.ProcessRange(want_ctx, cuts[r], cuts[r + 1]);
-        EXPECT_EQ(got_ctx.rng().engine()(), want_ctx.rng().engine()()) << "range " << r;
-        for (AccessLog* log : {&got_log, &want_log}) {
-          std::sort(log->reads.begin(), log->reads.end());
-          std::sort(log->updates.begin(), log->updates.end());
-        }
-        EXPECT_EQ(got_log.reads, want_log.reads) << "range " << r;
-        EXPECT_EQ(got_log.updates, want_log.updates) << "range " << r;
+        SCOPED_TRACE(r);
+        run_range(static_cast<std::uint64_t>(100 * clock + r), cuts[r], cuts[r + 1]);
       }
       ASSERT_EQ(app.assignments(), oracle.assignments());
       ASSERT_EQ(HexRows(got, LdaApp::kTableWordTopic, cc.vocab),

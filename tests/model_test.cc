@@ -317,6 +317,62 @@ TEST(ModelStore, FixedSequenceBytesArePinned) {
   }
 }
 
+// Random rows of both tables (repeats included), batched in `batched`
+// and row by row in input order in `per_row`: reads, deltas whose sums
+// depend on their order, a sync and a rollback. Every read, every row
+// and every byte count must agree bit for bit.
+TEST(ModelStore, BatchedCallsMatchPerRowCalls) {
+  ModelStore batched(TwoTables(), 12, 42);
+  ModelStore per_row(TwoTables(), 12, 42);
+  std::mt19937_64 rng(23);
+  std::uniform_real_distribution<float> value(-3.0F, 3.0F);
+  for (int step = 0; step < 40; ++step) {
+    SCOPED_TRACE(step);
+    const int t = static_cast<int>(rng() % 2);
+    const TableSpec& spec = batched.table(t);
+    const auto cols = static_cast<std::size_t>(spec.cols);
+    // Up to 40 rows from a window of 30, so rows repeat within a call.
+    const auto base = static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(spec.rows));
+    std::vector<std::int64_t> rows(rng() % 41);
+    for (std::int64_t& r : rows) {
+      r = (base + static_cast<std::int64_t>(rng() % 30)) % spec.rows;
+    }
+    std::vector<float> data(rows.size() * cols);
+    if (step % 3 == 0) {
+      batched.ReadRows(t, rows, data);
+      std::vector<float> row;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        per_row.ReadRow(t, rows[i], row);
+        ASSERT_EQ(std::memcmp(row.data(), data.data() + i * cols, cols * sizeof(float)), 0)
+            << "row " << rows[i];
+      }
+    } else {
+      for (float& x : data) {
+        x = value(rng);
+      }
+      batched.ApplyDeltas(t, rows, data);
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        per_row.ApplyDelta(t, rows[i], std::span<const float>(data).subspan(i * cols, cols));
+      }
+    }
+    if (step == 10) {
+      batched.EnableBackups();
+      per_row.EnableBackups();
+    }
+    if (step == 25) {
+      for (PartitionId p = 0; p < batched.num_partitions(); p += 3) {
+        ASSERT_EQ(batched.SyncPartitionToBackup(p), per_row.SyncPartitionToBackup(p));
+      }
+    }
+    if (step == 35) {
+      batched.RollbackAllToBackup();
+      per_row.RollbackAllToBackup();
+    }
+    ASSERT_EQ(batched.SerializeCheckpoint(), per_row.SerializeCheckpoint());
+    ASSERT_EQ(ByteFingerprint(batched), ByteFingerprint(per_row));
+  }
+}
+
 // Every row of both tables reads the same in `a` and `b` (reads
 // materialize rows, so compare values, not checkpoint bytes).
 void ExpectSameRows(const ModelStore& a, const ModelStore& b) {
@@ -402,6 +458,23 @@ TEST(ModelStoreDeathTest, RestoreRejectsRowsOutsideTheModel) {
   EXPECT_EQ(m.MaterializedRows(), 1u);
   EXPECT_DEATH(m.RestoreCheckpoint(OneRowBlob(MakeRowKey(0, 100))), "CHECK failed.*rows");
   EXPECT_DEATH(m.RestoreCheckpoint(OneRowBlob(MakeRowKey(2, 0))), "CHECK failed.*tables_");
+}
+
+TEST(ModelStoreDeathTest, BatchedCallRejectsRowsOutsideTheTable) {
+  ModelStore m(TwoTables(), 12, 42);
+  const std::vector<std::int64_t> last = {3, 99};
+  std::vector<float> out(last.size() * 4);
+  m.ReadRows(0, last, out);  // Last row: fine.
+  m.ApplyDeltas(0, last, out);
+  const std::vector<std::int64_t> past_end = {3, 100};
+  const std::vector<std::int64_t> negative = {-1, 3};
+  EXPECT_DEATH(m.ReadRows(0, past_end, out), "CHECK failed.*rows");
+  EXPECT_DEATH(m.ApplyDeltas(0, past_end, out), "CHECK failed.*rows");
+  EXPECT_DEATH(m.ApplyDeltas(0, negative, out), "CHECK failed.*0");
+  // Table 1 has 50 rows of 8 columns: row 50 is out, whatever table 0 holds.
+  std::vector<float> wide(8);
+  EXPECT_DEATH(m.ReadRows(1, std::vector<std::int64_t>{50}, wide), "CHECK failed.*rows");
+  EXPECT_DEATH(m.ReadRows(2, std::vector<std::int64_t>{0}, wide), "CHECK failed.*tables_");
 }
 
 }  // namespace

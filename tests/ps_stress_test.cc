@@ -13,7 +13,11 @@
 //     (restoring one into a fresh store never yields a torn row);
 //   - rows are stored in chunks allocated on first touch; threads that
 //     first-touch rows of one fresh chunk at once, racing a snapshotter,
-//     each land in that one chunk and lose no update.
+//     each land in that one chunk and lose no update;
+//   - batched ApplyDeltas/ReadRows, which lock one partition at a time,
+//     lose no update and tear no row while snapshots, syncs and
+//     rollbacks run, and mark every row they write dirty, so a rollback
+//     removes exactly the writes since the last sync.
 // The soak-labeled long variant lives in tests/ps_stress_soak_test.cc.
 #include <gtest/gtest.h>
 
@@ -236,6 +240,117 @@ TEST(PsStressTest, FirstTouchOfOneFreshChunkRacesSnapshots) {
       ExpectUniformRow(out, "first-touch");
       ASSERT_EQ(out[0], 2.0F) << "round " << round << " slot " << j;
     }
+  }
+}
+
+TEST(PsStressTest, BatchedWritersRaceSnapshotsAndRollback) {
+  // Each writer's ApplyDeltas lists its own rows and the shared contended
+  // tail, every row twice, so one call adds 2.0 to each. A snapshotter
+  // and a batched reader check for torn rows throughout, and a syncer
+  // syncs partitions under the writers. Each round ends at a barrier
+  // where the main thread syncs every partition, then (while the reader
+  // and snapshotter still run) applies a poison batch to every row and
+  // rolls it back: the rollback must remove exactly the poison.
+  constexpr int writers = 4;
+  constexpr int rounds = 6;
+  constexpr int iters = 8;
+  constexpr std::int64_t rows_per_writer = 40;
+  constexpr std::int64_t shared_begin = writers * rows_per_writer;
+  constexpr std::int64_t total_rows = shared_begin + rows_per_writer;
+  ModelStore store = MakeStore(total_rows);
+  store.EnableBackups();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> torn{0};
+  auto count_torn = [&](std::span<const float> row) {
+    for (std::size_t c = 1; c < row.size(); ++c) {
+      if (row[c] != row[0]) {
+        torn.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  };
+  std::thread snapshotter([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      ModelStore replica = MakeStore(total_rows);
+      replica.RestoreCheckpoint(store.SerializeCheckpoint());
+      replica.ForEachRow(0, [&](std::int64_t, std::span<const float> row) { count_torn(row); });
+      std::this_thread::yield();
+    }
+  });
+  std::thread reader([&] {
+    std::vector<std::int64_t> rows(48);
+    std::vector<float> out(rows.size() * kCols);
+    std::uint64_t x = 0x9E3779B97F4A7C15ULL;  // Local xorshift; no locks.
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (std::int64_t& r : rows) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        r = static_cast<std::int64_t>(x % static_cast<std::uint64_t>(total_rows));
+      }
+      store.ReadRows(0, rows, out);
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        count_torn(std::span<const float>(out).subspan(i * kCols, kCols));
+      }
+    }
+  });
+
+  std::vector<std::int64_t> all_rows;
+  for (std::int64_t r = 0; r < total_rows; ++r) {
+    all_rows.push_back(r);
+  }
+  const std::vector<float> poison(all_rows.size() * kCols, -1000.0F);
+  for (int round = 0; round < rounds; ++round) {
+    std::atomic<bool> written{false};
+    std::thread syncer([&] {
+      while (!written.load()) {
+        for (PartitionId p = 0; p < store.num_partitions(); ++p) {
+          store.SyncPartitionToBackup(p);
+        }
+        std::this_thread::yield();
+      }
+    });
+    std::vector<std::thread> threads;
+    for (int w = 0; w < writers; ++w) {
+      threads.emplace_back([&, w] {
+        std::vector<std::int64_t> rows;
+        for (int rep = 0; rep < 2; ++rep) {
+          for (std::int64_t r = w * rows_per_writer; r < (w + 1) * rows_per_writer; ++r) {
+            rows.push_back(r);
+          }
+          for (std::int64_t r = shared_begin; r < total_rows; ++r) {
+            rows.push_back(r);
+          }
+        }
+        const std::vector<float> deltas(rows.size() * kCols, 1.0F);
+        for (int it = 0; it < iters; ++it) {
+          store.ApplyDeltas(0, rows, deltas);
+        }
+      });
+    }
+    for (auto& t : threads) {
+      t.join();
+    }
+    written.store(true);
+    syncer.join();
+    for (PartitionId p = 0; p < store.num_partitions(); ++p) {
+      store.SyncPartitionToBackup(p);
+    }
+    store.ApplyDeltas(0, all_rows, poison);
+    store.RollbackAllToBackup();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  snapshotter.join();
+  reader.join();
+
+  EXPECT_EQ(torn.load(), 0);
+  std::vector<float> out(all_rows.size() * kCols);
+  store.ReadRows(0, all_rows, out);
+  for (std::int64_t r = 0; r < total_rows; ++r) {
+    const auto row = std::span<const float>(out).subspan(static_cast<std::size_t>(r) * kCols, kCols);
+    ExpectUniformRow(row, "batched");
+    const int adds = 2 * iters * rounds * (r < shared_begin ? 1 : writers);
+    ASSERT_EQ(row[0], static_cast<float>(adds)) << "row " << r;
   }
 }
 
